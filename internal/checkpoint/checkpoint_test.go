@@ -27,6 +27,12 @@ type rig struct {
 
 func newRig(t *testing.T, backend StoreBackend) *rig {
 	t.Helper()
+	return newRigPEs(t, backend, 1)
+}
+
+// newRigPEs is newRig with a chain of n PEs in the subjob.
+func newRigPEs(t *testing.T, backend StoreBackend, n int) *rig {
+	t.Helper()
 	net := transport.NewMem(transport.MemConfig{})
 	t.Cleanup(net.Close)
 	clk := clock.New()
@@ -49,9 +55,12 @@ func newRig(t *testing.T, backend StoreBackend) *rig {
 		Owners:    map[string]string{"in": "up"},
 		OutStream: "out",
 		BatchSize: 8,
-		PEs: []subjob.PESpec{
-			{Name: "a", NewLogic: func() pe.Logic { return &pe.CounterLogic{Pad: 5} }},
-		},
+	}
+	for i := 0; i < n; i++ {
+		spec.PEs = append(spec.PEs, subjob.PESpec{
+			Name:     string(rune('a' + i)),
+			NewLogic: func() pe.Logic { return &pe.CounterLogic{Pad: 5} },
+		})
 	}
 	rt, err := subjob.New(spec, priM, false)
 	if err != nil {
@@ -220,6 +229,44 @@ func TestIndividualEmitsPerPEMessages(t *testing.T) {
 	}
 }
 
+// TestIndividualCapturesOnePEShare checks the per-PE trigger's capture
+// scope on a two-PE subjob: the last PE's checkpoint carries only its own
+// state plus the subjob output and acknowledges nothing upstream; the
+// first PE's carries only its own state and acknowledges.
+func TestIndividualCapturesOnePEShare(t *testing.T) {
+	r := newRigPEs(t, InMemory, 2)
+	cm := NewIndividual(Config{Runtime: r.rt, Clock: r.clk, Interval: time.Hour, StoreNode: r.secM.ID()})
+	cm.Start()
+	defer cm.Stop()
+	r.feed(t, 1, 6)
+	waitOutLen(t, r.rt, 6)
+
+	cm.checkpoint(1)
+	deadline := time.Now().Add(2 * time.Second)
+	for r.store.Stored() < 1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	snap, ok := r.store.Latest()
+	if !ok {
+		t.Fatal("store holds nothing")
+	}
+	if len(snap.PEStates[0]) != 0 || len(snap.PEStates[1]) == 0 || len(snap.Output.Buf) != 6 {
+		t.Fatalf("PE 1 share: state lens %d/%d, output %d elements",
+			len(snap.PEStates[0]), len(snap.PEStates[1]), len(snap.Output.Buf))
+	}
+
+	// A stray ack for PE 1's checkpoint would arrive before PE 0's and
+	// carry 6, not 12.
+	r.feed(t, 7, 12)
+	cm.checkpoint(0)
+	r.expectAck(t, 12)
+	snap, _ = r.store.Latest()
+	if len(snap.PEStates[0]) == 0 || len(snap.PEStates[1]) != 0 || len(snap.Output.Buf) != 0 {
+		t.Fatalf("PE 0 share: state lens %d/%d, output %d elements",
+			len(snap.PEStates[0]), len(snap.PEStates[1]), len(snap.Output.Buf))
+	}
+}
+
 func TestStoreDiskBackendSlowerThanMemory(t *testing.T) {
 	r := newRig(t, SimulatedDisk)
 	cm := NewSweeping(Config{Runtime: r.rt, Clock: r.clk, Interval: time.Hour, StoreNode: r.secM.ID()})
@@ -290,5 +337,30 @@ func TestCostsDefaulting(t *testing.T) {
 	custom := Costs{Base: time.Millisecond}
 	if got := custom.orDefault(); got != custom {
 		t.Fatalf("custom overridden: %+v", got)
+	}
+}
+
+// TestSeqBaseHonouredByEveryTrigger checks that a restarted manager
+// continues the cataloged chain whatever its trigger: given SeqBase N,
+// the first checkpoint it ships is N+1.
+func TestSeqBaseHonouredByEveryTrigger(t *testing.T) {
+	const base = 41
+	for name, mk := range map[string]func(Config) Manager{
+		"sweeping":    func(cfg Config) Manager { return NewSweeping(cfg) },
+		"synchronous": func(cfg Config) Manager { return NewSynchronous(cfg) },
+		"individual":  func(cfg Config) Manager { return NewIndividual(cfg) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			r := newRig(t, InMemory)
+			cm := mk(Config{Runtime: r.rt, Clock: r.clk, Interval: time.Hour, StoreNode: r.secM.ID(), SeqBase: base})
+			cm.Start()
+			defer cm.Stop()
+			r.feed(t, 1, 3)
+			cm.CheckpointNow()
+			r.expectAck(t, 3)
+			if got := r.store.Stats().LatestSeq; got != base+1 {
+				t.Fatalf("first checkpoint shipped as seq %d, want %d", got, base+1)
+			}
+		})
 	}
 }

@@ -1,10 +1,12 @@
-// Package checkpoint implements the checkpoint managers of the paper:
-// sweeping checkpointing (Section III, adopted from the authors' earlier
-// work), plus the synchronous and individual variants it is compared
-// against, and the state stores that hold checkpoints on secondary
-// machines.
+// Package checkpoint implements the paper's checkpoint manager and the
+// state stores that hold checkpoints on secondary machines. The one
+// manager, Checkpointer, runs sweeping checkpointing (Section III, adopted
+// from the authors' earlier work) or, as the baselines sweeping is
+// compared against, the synchronous and individual variants; the
+// constructor picks the trigger, which decides when a checkpoint starts
+// and which part of the subjob copy it captures.
 //
-// A checkpoint manager drives one subjob copy's pause → capture → resume
+// The manager drives one subjob copy's pause → capture → resume
 // cycle and hands the captured state to a background shipper that charges
 // the modeled encode cost, serializes with the binary snapshot codec, and
 // ships to a store; once the store confirms, cumulative acknowledgments go
@@ -13,7 +15,7 @@
 // trimmed subjob, so one sweep initiated at the most-downstream subjob
 // propagates checkpoints all the way upstream.
 //
-// With Config.RebaseEvery ≥ 2 the managers checkpoint incrementally: most
+// With Config.RebaseEvery ≥ 2 the manager checkpoints incrementally: most
 // sweeps capture only the state that changed since the previous checkpoint
 // (per-PE byte-range patches plus the output queue's newly published
 // suffix) and every RebaseEvery-th checkpoint is a full snapshot that
@@ -107,7 +109,7 @@ type Config struct {
 	Partial bool
 }
 
-// Manager is the common interface of the checkpointing variants.
+// Manager is the interface of a checkpoint manager, whatever its trigger.
 type Manager interface {
 	// Start launches the manager.
 	Start()
@@ -134,15 +136,30 @@ type Manager interface {
 	Stats() ManagerStats
 }
 
-// Sweeping is the sweeping checkpoint manager: a checkpoint is taken
-// immediately after the subjob's output queue is trimmed, with the
-// interval timer as a fallback seed. Snapshots exclude the input queue.
-type Sweeping struct {
-	cfg  Config
-	trig chan struct{}
-	stop chan struct{}
-	done chan struct{}
-	ship *shipper
+// trigger selects what starts a checkpoint, and with it which part of the
+// subjob copy each checkpoint captures (see run and scope).
+type trigger int
+
+const (
+	triggerSweep  trigger = iota // output-queue trim, interval timer as fallback
+	triggerSubjob                // subjob-wide ticker
+	triggerPerPE                 // n evenly phased sub-ticks rotating over the PEs
+)
+
+// Checkpointer is the checkpoint manager. Every variant runs the same
+// pause → capture → resume → ship → ack cycle; the constructor picks the
+// trigger, which decides when a checkpoint starts and what it captures:
+//
+//   - NewSweeping: sweeping checkpointing (Section III).
+//   - NewSynchronous: the timer-driven variant the paper compares against.
+//   - NewIndividual: the per-PE-timer variant.
+type Checkpointer struct {
+	cfg     Config
+	trigger trigger
+	trimmed chan struct{} // sweeping: an output-queue trim is pending
+	stop    chan struct{}
+	done    chan struct{}
+	ship    *shipper
 
 	// capMu serializes capture → sequence assignment → shipper handoff, so
 	// checkpoints enter the shipper in sequence order (the delta chain the
@@ -151,7 +168,7 @@ type Sweeping struct {
 
 	mu          sync.Mutex
 	seq         uint64
-	pending     map[uint64]map[string]uint64 // checkpoint seq -> consumed positions
+	pending     map[uint64]map[string]uint64 // checkpoint seq -> positions to ack
 	taken       int
 	pauseTotal  time.Duration
 	lastUnits   int
@@ -163,15 +180,47 @@ type Sweeping struct {
 	started     bool
 }
 
-var _ Manager = (*Sweeping)(nil)
+var _ Manager = (*Checkpointer)(nil)
 
-// NewSweeping creates a sweeping manager for cfg.
-func NewSweeping(cfg Config) *Sweeping {
+// NewSweeping creates a sweeping checkpoint manager for cfg: a checkpoint
+// is taken immediately after the subjob's output queue is trimmed, with
+// the interval timer as a fallback seed. Snapshots exclude the input
+// queue.
+func NewSweeping(cfg Config) *Checkpointer {
+	return newCheckpointer(cfg, triggerSweep)
+}
+
+// NewSynchronous creates a synchronous checkpoint manager for cfg: on
+// every interval all PEs of the subjob are suspended and the full state —
+// including the input queue — is captured before they resume. Including
+// the input queue makes messages much larger for PEs that consume more raw
+// data than they derive, which is the overhead the paper's Section III
+// quantifies. Upstream acknowledgments cover the input queue's accepted
+// positions, since the input queue itself is part of the checkpoint.
+func NewSynchronous(cfg Config) *Checkpointer {
+	return newCheckpointer(cfg, triggerSubjob)
+}
+
+// NewIndividual creates an individual-timer checkpoint manager for cfg:
+// every PE is checkpointed on its own timer. Each cycle captures PE i's
+// logic state, its outgoing queue (pipe, or the subjob output for the last
+// PE) and, for the first PE, the input queue — more, smaller, overlapping
+// messages than one swept checkpoint. Only the first PE's checkpoints
+// acknowledge upstream. With incremental checkpointing, per-PE messages
+// become per-PE deltas between whole-subjob full rebases; each PE's change
+// tracking is reset only on its own turn, so the rotation's per-PE chains
+// fold correctly. CheckpointNow checkpoints the first PE.
+func NewIndividual(cfg Config) *Checkpointer {
+	return newCheckpointer(cfg, triggerPerPE)
+}
+
+func newCheckpointer(cfg Config, t trigger) *Checkpointer {
 	cfg.Costs = cfg.Costs.orDefault()
-	return &Sweeping{
+	return &Checkpointer{
 		cfg:     cfg,
+		trigger: t,
 		seq:     cfg.SeqBase,
-		trig:    make(chan struct{}, 1),
+		trimmed: make(chan struct{}, 1),
 		stop:    make(chan struct{}),
 		done:    make(chan struct{}),
 		ship:    newShipper(cfg),
@@ -179,61 +228,104 @@ func NewSweeping(cfg Config) *Sweeping {
 	}
 }
 
-// Start implements Manager. It hooks the runtime's trim events and the
-// checkpoint-ack stream, then launches the checkpoint loop.
-func (s *Sweeping) Start() {
-	s.mu.Lock()
-	if s.started {
-		s.mu.Unlock()
+// Start implements Manager. It hooks the checkpoint-ack stream (and, for
+// sweeping, the runtime's trim events), then launches the trigger loop.
+func (c *Checkpointer) Start() {
+	c.mu.Lock()
+	if c.started {
+		c.mu.Unlock()
 		return
 	}
-	s.started = true
-	s.mu.Unlock()
+	c.started = true
+	c.mu.Unlock()
 
-	rt := s.cfg.Runtime
-	rt.Out().SetOnTrim(func() {
-		select {
-		case s.trig <- struct{}{}:
-		default:
-		}
-	})
-	rt.Machine().RegisterStream(subjob.CkptAckStream(rt.Spec().ID), s.onStoreAck)
-	go s.run()
+	rt := c.cfg.Runtime
+	if c.trigger == triggerSweep {
+		rt.Out().SetOnTrim(func() {
+			select {
+			case c.trimmed <- struct{}{}:
+			default:
+			}
+		})
+	}
+	rt.Machine().RegisterStream(subjob.CkptAckStream(rt.Spec().ID), c.onStoreAck)
+	go c.run()
 }
 
 // Stop implements Manager.
-func (s *Sweeping) Stop() {
-	s.mu.Lock()
-	started := s.started
-	s.mu.Unlock()
+func (c *Checkpointer) Stop() {
+	c.mu.Lock()
+	started := c.started
+	c.mu.Unlock()
 	if !started {
-		s.ship.stopWait()
+		c.ship.stopWait()
 		return
 	}
 	select {
-	case <-s.stop:
+	case <-c.stop:
 	default:
-		close(s.stop)
+		close(c.stop)
 	}
-	<-s.done
-	s.ship.stopWait()
-	s.cfg.Runtime.Out().SetOnTrim(nil)
-	s.cfg.Runtime.Machine().UnregisterStream(subjob.CkptAckStream(s.cfg.Runtime.Spec().ID))
+	<-c.done
+	c.ship.stopWait()
+	if c.trigger == triggerSweep {
+		c.cfg.Runtime.Out().SetOnTrim(nil)
+	}
+	c.cfg.Runtime.Machine().UnregisterStream(subjob.CkptAckStream(c.cfg.Runtime.Spec().ID))
 }
 
-func (s *Sweeping) run() {
-	defer close(s.done)
-	// The interval timer is a fallback seed: a trim-triggered checkpoint
-	// resets it, so the sweep cascade does not double up with the timer.
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-s.trig:
-			s.CheckpointNow()
-		case <-s.cfg.Clock.After(s.cfg.Interval):
-			s.CheckpointNow()
+func (c *Checkpointer) run() {
+	defer close(c.done)
+	if c.trigger == triggerSweep {
+		// The interval timer is a fallback seed: a trim-triggered
+		// checkpoint resets it, so the sweep cascade does not double up
+		// with the timer.
+		for {
+			select {
+			case <-c.stop:
+				return
+			case <-c.trimmed:
+				c.CheckpointNow()
+			case <-c.cfg.Clock.After(c.cfg.Interval):
+				c.CheckpointNow()
+			}
 		}
+	}
+	n := 1
+	if c.trigger == triggerPerPE {
+		// Independent per-PE timers are modeled as a single loop firing n
+		// evenly-phased sub-ticks per interval, each checkpointing one PE.
+		if n = len(c.cfg.Runtime.PEs()); n == 0 {
+			return
+		}
+	}
+	tick := c.cfg.Interval / time.Duration(n)
+	if tick <= 0 {
+		tick = c.cfg.Interval
+	}
+	t := c.cfg.Clock.NewTicker(tick)
+	defer t.Stop()
+	for i := 0; ; i++ {
+		select {
+		case <-c.stop:
+			return
+		case <-t.C():
+			c.checkpoint(i % n)
+		}
+	}
+}
+
+// scope returns what a checkpoint started for PE i captures under this
+// trigger: OnlyPE (-1 for every PE), IncludeInput and IncludeOutput.
+func (c *Checkpointer) scope(i int) subjob.DeltaOptions {
+	switch c.trigger {
+	case triggerSubjob:
+		return subjob.DeltaOptions{OnlyPE: -1, IncludeInput: true, IncludeOutput: true}
+	case triggerPerPE:
+		last := i == len(c.cfg.Runtime.PEs())-1
+		return subjob.DeltaOptions{OnlyPE: i, IncludeInput: i == 0, IncludeOutput: last}
+	default:
+		return subjob.DeltaOptions{OnlyPE: -1, IncludeOutput: true}
 	}
 }
 
@@ -266,54 +358,73 @@ func wantDeltaLocked(cfg *Config, sinceFull int, lastOutNext uint64, pending int
 	return pending <= limit
 }
 
-// CheckpointNow implements Manager: pause, capture (without the input
-// queue), resume, then hand off to the background shipper. The upstream
-// acknowledgment is deferred until the store confirms.
-func (s *Sweeping) CheckpointNow() time.Duration {
-	rt := s.cfg.Runtime
+// CheckpointNow implements Manager. The upstream acknowledgment is
+// deferred until the store confirms.
+func (c *Checkpointer) CheckpointNow() time.Duration {
+	return c.checkpoint(0)
+}
+
+// checkpoint pauses the copy, captures the scope of PE i (see scope),
+// resumes, then numbers the checkpoint and hands it to the background
+// shipper. A capture that includes the input queue acknowledges the input
+// queue's accepted positions, since the queued elements are in the
+// checkpoint; one that covers every PE but not the input acknowledges the
+// consumed positions; a single later PE's capture acknowledges nothing.
+func (c *Checkpointer) checkpoint(i int) time.Duration {
+	rt := c.cfg.Runtime
 	if rt.Machine().Crashed() {
 		return 0
 	}
-	s.capMu.Lock()
-	defer s.capMu.Unlock()
+	c.capMu.Lock()
+	defer c.capMu.Unlock()
 
-	s.mu.Lock()
-	if s.paused {
-		s.mu.Unlock()
+	c.mu.Lock()
+	if c.paused {
+		c.mu.Unlock()
 		return 0
 	}
 	// The first capture in partial mode is still a full snapshot: it seeds
 	// the standby's baseline image that later hot-range frames patch.
-	tryPartial := s.cfg.Partial && !s.fullNext && s.lastOutNext != 0
-	tryDelta := !s.cfg.Partial && !s.fullNext &&
-		wantDeltaLocked(&s.cfg, s.sinceFull, s.lastOutNext, len(s.pending))
-	s.fullNext = false
-	outSince := s.lastOutNext
-	s.mu.Unlock()
-	if tryDelta && s.cfg.RebaseAdaptive && s.ship.rebaseDue() {
+	tryPartial := c.cfg.Partial && !c.fullNext && c.lastOutNext != 0
+	tryDelta := !c.cfg.Partial && !c.fullNext &&
+		wantDeltaLocked(&c.cfg, c.sinceFull, c.lastOutNext, len(c.pending))
+	c.fullNext = false
+	sc := c.scope(i)
+	sc.OutputSince = c.lastOutNext
+	c.mu.Unlock()
+	if tryDelta && c.cfg.RebaseAdaptive && c.ship.rebaseDue() {
 		tryDelta = false
 	}
+	incremental := c.cfg.RebaseEvery >= 2 || c.cfg.RebaseAdaptive
 
-	start := s.cfg.Clock.Now()
+	start := c.cfg.Clock.Now()
 	var snap *subjob.Snapshot
 	var delta *subjob.Delta
 	var part *subjob.Partial
+	var accepted map[string]uint64
 	rt.WithPaused(func() {
 		switch {
 		case tryPartial:
 			part = rt.CapturePartial()
 		case tryDelta:
-			delta, _ = rt.CaptureDelta(subjob.DeltaOptions{
-				OutputSince:   outSince,
-				IncludeOutput: true,
-				OnlyPE:        -1,
-			})
+			delta, _ = rt.CaptureDelta(sc)
 		}
 		if part == nil && delta == nil {
+			if sc.OnlyPE >= 0 && incremental {
+				// An incremental per-PE rebase must keep the whole subjob,
+				// since later per-PE deltas fold onto the stored image.
+				sc = subjob.DeltaOptions{OnlyPE: -1, IncludeInput: true, IncludeOutput: true}
+			}
 			snap = rt.CaptureFull()
+			if sc.IncludeInput {
+				snap.Input = rt.In().SnapshotBuf()
+			}
+		}
+		if sc.IncludeInput {
+			accepted = rt.In().AcceptedAll()
 		}
 	})
-	paused := s.cfg.Clock.Since(start)
+	paused := c.cfg.Clock.Since(start)
 
 	var units int
 	var consumed map[string]uint64
@@ -324,101 +435,139 @@ func (s *Sweeping) CheckpointNow() time.Duration {
 		consumed = part.Consumed
 		outNext = part.OutNext
 	case delta != nil:
+		if accepted != nil {
+			delta.Consumed = accepted
+		}
 		units = delta.ElementUnits()
 		consumed = delta.Consumed
-		outNext = delta.Output.NextSeq
+		outNext = sc.OutputSince
+		if delta.HasOutput {
+			outNext = delta.Output.NextSeq
+		}
 	default:
+		if accepted != nil {
+			snap.Consumed = accepted
+		}
+		if sc.OnlyPE >= 0 {
+			keepOnlyPE(snap, sc.OnlyPE, sc.IncludeOutput, rt)
+		}
 		units = snap.ElementUnits()
 		consumed = snap.Consumed
 		outNext = snap.Output.NextSeq
 	}
 
-	s.mu.Lock()
-	s.seq++
-	seq := s.seq
+	c.mu.Lock()
+	c.seq++
+	seq := c.seq
 	switch {
 	case delta != nil:
 		delta.PrevSeq = seq - 1
-		s.sinceFull++
+		c.sinceFull++
 	case part != nil:
 		// Partials are unchained; they neither extend nor reset the delta
 		// chain bookkeeping.
 	default:
-		s.sinceFull = 0
+		c.sinceFull = 0
 	}
-	s.lastOutNext = outNext
-	s.pending[seq] = consumed
-	s.taken++
-	s.pauseTotal += paused
-	s.lastUnits = units
-	s.unitsTotal += int64(units)
-	s.mu.Unlock()
+	c.lastOutNext = outNext
+	if sc.IncludeInput || sc.OnlyPE < 0 {
+		c.pending[seq] = consumed
+	}
+	c.taken++
+	c.pauseTotal += paused
+	c.lastUnits = units
+	c.unitsTotal += int64(units)
+	c.mu.Unlock()
 
-	s.ship.enqueue(shipJob{seq: seq, snap: snap, delta: delta, part: part, units: units})
+	c.ship.enqueue(shipJob{seq: seq, snap: snap, delta: delta, part: part, units: units})
 	return paused
+}
+
+// keepOnlyPE trims a classic (non-incremental) full snapshot to PE i's
+// share for the individual variant: the other PEs' states and pipes are
+// zeroed, and the output queue's retained elements are dropped unless the
+// capture includes the output.
+func keepOnlyPE(snap *subjob.Snapshot, i int, withOutput bool, rt *subjob.Runtime) {
+	for j := range snap.PEStates {
+		if j != i {
+			snap.PEStates[j] = nil
+		}
+	}
+	snap.StateUnits = 0
+	if i < len(rt.PEs()) {
+		snap.StateUnits = rt.PEs()[i].Logic().StateSize()
+	}
+	for j := range snap.Pipes {
+		if j != i {
+			snap.Pipes[j] = nil
+		}
+	}
+	if !withOutput {
+		snap.Output.Buf = nil
+	}
 }
 
 // onStoreAck releases the upstream acknowledgment for a stored checkpoint:
 // the data it covers is now recoverable, so upstream may trim it.
-func (s *Sweeping) onStoreAck(_ transport.NodeID, msg transport.Message) {
-	s.mu.Lock()
-	positions, ok := s.pending[msg.Seq]
+func (c *Checkpointer) onStoreAck(_ transport.NodeID, msg transport.Message) {
+	c.mu.Lock()
+	positions, ok := c.pending[msg.Seq]
 	if ok {
-		delete(s.pending, msg.Seq)
+		delete(c.pending, msg.Seq)
 		// Older unacked checkpoints are subsumed by this one.
-		for seq := range s.pending {
+		for seq := range c.pending {
 			if seq < msg.Seq {
-				delete(s.pending, seq)
+				delete(c.pending, seq)
 			}
 		}
 	}
-	s.mu.Unlock()
+	c.mu.Unlock()
 	if ok {
-		s.cfg.Runtime.AckUpstream(positions)
+		c.cfg.Runtime.AckUpstream(positions)
 	}
 }
 
 // ForceFull implements Manager.
-func (s *Sweeping) ForceFull() {
-	s.mu.Lock()
-	s.fullNext = true
-	s.mu.Unlock()
+func (c *Checkpointer) ForceFull() {
+	c.mu.Lock()
+	c.fullNext = true
+	c.mu.Unlock()
 }
 
 // Pause implements Manager. Taking capMu waits out any in-flight capture,
 // so when Pause returns no manager capture is running or will run.
-func (s *Sweeping) Pause() {
-	s.capMu.Lock()
-	defer s.capMu.Unlock()
-	s.mu.Lock()
-	s.paused = true
-	s.mu.Unlock()
+func (c *Checkpointer) Pause() {
+	c.capMu.Lock()
+	defer c.capMu.Unlock()
+	c.mu.Lock()
+	c.paused = true
+	c.mu.Unlock()
 }
 
 // Resume implements Manager: checkpointing restarts with a full snapshot.
-func (s *Sweeping) Resume() {
-	s.mu.Lock()
-	s.paused = false
-	s.fullNext = true
-	s.mu.Unlock()
+func (c *Checkpointer) Resume() {
+	c.mu.Lock()
+	c.paused = false
+	c.fullNext = true
+	c.mu.Unlock()
 }
 
 // Taken returns how many checkpoints were initiated, for tests and
 // benchmarks.
-func (s *Sweeping) Taken() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.taken
+func (c *Checkpointer) Taken() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.taken
 }
 
 // MeanPause returns the average pause duration per checkpoint.
-func (s *Sweeping) MeanPause() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.taken == 0 {
+func (c *Checkpointer) MeanPause() time.Duration {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.taken == 0 {
 		return 0
 	}
-	return s.pauseTotal / time.Duration(s.taken)
+	return c.pauseTotal / time.Duration(c.taken)
 }
 
 // ManagerStats is a JSON-marshalable view of a checkpoint manager's
@@ -446,19 +595,19 @@ type ManagerStats struct {
 
 // Stats implements Manager: checkpoint counts, pending store acks,
 // pause/encode/ship timings and full-vs-delta shipped volume.
-func (s *Sweeping) Stats() ManagerStats {
-	s.mu.Lock()
+func (c *Checkpointer) Stats() ManagerStats {
+	c.mu.Lock()
 	st := ManagerStats{
-		Subjob:     s.cfg.Runtime.Spec().ID,
-		Taken:      s.taken,
-		Pending:    len(s.pending),
-		LastUnits:  s.lastUnits,
-		TotalUnits: s.unitsTotal,
+		Subjob:     c.cfg.Runtime.Spec().ID,
+		Taken:      c.taken,
+		Pending:    len(c.pending),
+		LastUnits:  c.lastUnits,
+		TotalUnits: c.unitsTotal,
 	}
-	if s.taken > 0 {
-		st.MeanPauseMS = float64(s.pauseTotal) / float64(s.taken) / 1e6
+	if c.taken > 0 {
+		st.MeanPauseMS = float64(c.pauseTotal) / float64(c.taken) / 1e6
 	}
-	s.mu.Unlock()
-	s.ship.statsInto(&st)
+	c.mu.Unlock()
+	c.ship.statsInto(&st)
 	return st
 }

@@ -541,7 +541,7 @@ func (lc *Lifecycle) restoreFromCatalog() error {
 
 // seqBase is the checkpoint sequence managers continue from: the catalog
 // sequence a cold restart restored, zero on a fresh start. Policies pass
-// it to every Sweeping manager they create so new checkpoints extend the
+// it to every checkpoint manager they create so new checkpoints extend the
 // cataloged chain instead of colliding with it.
 func (lc *Lifecycle) seqBase() uint64 {
 	lc.mu.Lock()

@@ -119,21 +119,3 @@ func TestRecoveryPhases(t *testing.T) {
 		t.Fatalf("phases %v %v %v %v", r.Detection(), r.Deploy(), r.Reprocess(), r.Total())
 	}
 }
-
-func TestRecoveryLogMeanPhases(t *testing.T) {
-	var l RecoveryLog
-	d0, d1, d2 := l.MeanPhases()
-	if d0 != 0 || d1 != 0 || d2 != 0 {
-		t.Fatal("empty log means not zero")
-	}
-	t0 := time.Unix(0, 0)
-	l.Add(Recovery{FailureAt: t0, DetectedAt: t0.Add(10 * time.Millisecond), ReadyAt: t0.Add(20 * time.Millisecond), FirstOutputAt: t0.Add(30 * time.Millisecond)})
-	l.Add(Recovery{FailureAt: t0, DetectedAt: t0.Add(20 * time.Millisecond), ReadyAt: t0.Add(40 * time.Millisecond), FirstOutputAt: t0.Add(60 * time.Millisecond)})
-	det, dep, rep := l.MeanPhases()
-	if det != 15*time.Millisecond || dep != 15*time.Millisecond || rep != 15*time.Millisecond {
-		t.Fatalf("means %v %v %v", det, dep, rep)
-	}
-	if len(l.Records()) != 2 {
-		t.Fatal("records lost")
-	}
-}

@@ -58,8 +58,9 @@ type Subscriber struct {
 	acked uint64 // guarded by Output.mu
 
 	// sendMu serializes every transmission to this subscriber — publish
-	// fan-out (which runs outside Output.mu) and activation replay — so
-	// the two cannot interleave and double-deliver.
+	// fan-out and activation replay — so the two cannot interleave and
+	// double-deliver. It is only ever acquired under Output.mu; publish
+	// fan-out then sends after releasing Output.mu.
 	sendMu sync.Mutex
 	// sent is the highest sequence number ever transmitted to this
 	// subscriber, guarded by sendMu. Replay resumes after it (unless
@@ -401,17 +402,24 @@ func (o *Output) Publish(elems []element.Element) []element.Element {
 	o.buf.append(elems)
 	targets := o.active
 	router := o.router
+	// Taking every target's sendMu before releasing the queue lock (the
+	// o.mu → sendMu order replayLocked uses) puts this batch on each
+	// subscriber's wire in stamp order: a concurrent publisher that stamped
+	// later queues up behind it, so its batch can advance neither the send
+	// watermark nor a covered watermark past this one.
+	for _, s := range targets {
+		s.sendMu.Lock()
+	}
 	o.mu.Unlock()
 
 	first := elems[0].Seq
 	last := elems[len(elems)-1].Seq
 	for _, s := range targets {
-		// Holding sendMu across the send orders this fan-out against any
-		// concurrent activation replay to the same subscriber; the send
+		// Holding sendMu across the send also orders this fan-out against
+		// any concurrent activation replay to the same subscriber; the send
 		// watermark then trims whatever prefix such a replay (which runs
 		// under the queue lock, hence after the batch was appended) has
 		// already transmitted, so no element is delivered twice.
-		s.sendMu.Lock()
 		if s.sent >= last {
 			s.sendMu.Unlock()
 			continue

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -180,5 +181,69 @@ func TestPublishActivateAckInterleaving(t *testing.T) {
 		if s != uint64(i+1) {
 			t.Fatalf("delivery %d has seq %d; stream must be 1..N exactly once in order", i, s)
 		}
+	}
+}
+
+// TestConcurrentPublishKeepsStampOrder pins two publishers deterministically
+// in the interleaving that used to lose a batch: publisher A stamps seqs
+// 1..4 and is suspended inside its first send, to subscriber X, before
+// reaching subscriber Y; X then unsubscribes, and publisher B stamps 5..8
+// and fans out to Y alone. Had B reached Y first, Y's send watermark would
+// jump to 8 and A's batch, stamped earlier, would be skipped for Y forever.
+// Each subscriber must instead see its batches in stamp order.
+func TestConcurrentPublishKeepsStampOrder(t *testing.T) {
+	var mu sync.Mutex
+	got := make(map[transport.NodeID][]uint64)
+	blocked := make(chan transport.NodeID, 1)
+	gate := make(chan struct{})
+	armed := true
+	send := func(to transport.NodeID, msg transport.Message) {
+		mu.Lock()
+		for _, e := range msg.Elements {
+			got[to] = append(got[to], e.Seq)
+		}
+		block := armed
+		armed = false
+		mu.Unlock()
+		if block {
+			blocked <- to
+			<-gate
+		}
+	}
+	o := NewOutput("st", send)
+	o.Subscribe("x", "in", true)
+	o.Subscribe("y", "in", true)
+
+	aDone := make(chan struct{})
+	go func() {
+		defer close(aDone)
+		o.Publish(elems(4))
+	}()
+	var x, y transport.NodeID = <-blocked, "y"
+	if x == "y" {
+		y = "x"
+	}
+	o.Unsubscribe(x)
+
+	bDone := make(chan struct{})
+	go func() {
+		defer close(bDone)
+		o.Publish(elems(4))
+	}()
+	// Let B run to completion if it can overtake A (it must not), or queue
+	// up behind A's hold on Y.
+	select {
+	case <-bDone:
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(gate)
+	<-aDone
+	<-bDone
+
+	mu.Lock()
+	defer mu.Unlock()
+	want := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
+	if fmt.Sprint(got[y]) != fmt.Sprint(want) {
+		t.Fatalf("subscriber %s received %v, want %v in stamp order", y, got[y], want)
 	}
 }
