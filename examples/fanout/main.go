@@ -32,8 +32,8 @@ func main() {
 	topo, err := streamha.NewTopology(streamha.TopologyConfig{
 		Cluster: cl,
 		JobID:   "fanout",
-		Sources: []streamha.TopologySource{{Name: "events", Machine: "feed", Rate: 2000}},
-		Subjobs: []streamha.TopologySubjob{
+		Sources: []streamha.SourceDef{{Name: "events", Machine: "feed", Rate: 2000}},
+		Subjobs: []streamha.SubjobDef{
 			{ID: "enrich", Inputs: []string{"events"}, PEs: pes(50*time.Microsecond, 0), Mode: streamha.None, Primary: "m-enrich"},
 			{ID: "alerts", Inputs: []string{"enrich"}, PEs: pes(80*time.Microsecond, 0), Mode: streamha.None, Primary: "m-alerts"},
 			{

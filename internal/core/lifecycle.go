@@ -242,7 +242,7 @@ type LifecycleConfig struct {
 	// Primary is the running primary copy.
 	Primary *subjob.Runtime
 	// Secondary, when non-nil, is a pre-created standby copy already wired
-	// by the deployer (pipeline builders wire all copies before starting
+	// by the deployer (the job builder wires all copies before starting
 	// lifecycles so standby-to-standby early connections exist). When nil,
 	// a policy that pre-deploys creates and wires the copy itself.
 	Secondary *subjob.Runtime

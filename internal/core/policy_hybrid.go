@@ -60,9 +60,10 @@ func (hp *HybridPolicy) arm(lc *Lifecycle, partial bool) error {
 		sec := lc.SecondaryRuntime()
 		if sec == nil {
 			// A nil secondary here means a re-arm onto a replacement host
-			// mid-stream (the builders pre-create the initial standby). Seed
-			// the fresh copy synchronously from the live primary before it
-			// starts: the sweeping chain is asynchronous, and a switchover in
+			// mid-stream, or an instance a live rescale added (the builder
+			// pre-creates every other initial standby). Seed the fresh
+			// copy synchronously from the live primary before it starts:
+			// the sweeping chain is asynchronous, and a switchover in
 			// the window before its first checkpoint lands would otherwise
 			// promote an empty copy whose restarted output sequences the
 			// downstream dedup floors silently swallow.

@@ -1,8 +1,9 @@
 // Package ha assembles the five high-availability modes — NONE, active
 // standby, passive standby, hybrid (the four the paper evaluates) and
-// approx (bounded-error hybrid) — and the pipeline builder that deploys a
-// chain job across cluster machines with a per-subjob mode choice
-// (Section V-A: each subjob in the same job can use a different HA mode).
+// approx (bounded-error hybrid) — and the job-graph builder that deploys a
+// DAG job, or the chain NewPipeline describes, across cluster machines
+// with a per-subjob mode choice (Section V-A: each subjob in the same job
+// can use a different HA mode).
 // Every mode is a core.StandbyPolicy plugged into the shared
 // core.Lifecycle state machine; this package only picks the policy and
 // wires the job.

@@ -45,7 +45,8 @@ func (o RescaleOptions) withDefaults() RescaleOptions {
 
 // RescaleReport describes one completed ScaleOut.
 type RescaleReport struct {
-	Stage       int
+	// Subjob names the grown subjob.
+	Subjob      string
 	NewInstance int
 	// Donor is the partition-instance index that gave up partitions.
 	Donor int
@@ -64,12 +65,15 @@ type RescaleReport struct {
 	CutoverPause time.Duration
 }
 
-// ScaleOut grows a keyed-parallel stage from n to n+1 instances while the
-// job keeps serving. Only the last stage can grow live — an instance added
-// mid-chain would need every downstream copy's input re-specced, which is
-// out of scope — and the stage must not run active standby (the twin
-// processes the same feed concurrently, so pausing just the primary for
-// state sync would fork the pair).
+// ScaleOut grows the keyed-parallel subjob id from n to n+1 instances
+// while the job keeps serving. Only a subjob whose consumers are all sinks
+// can grow live — an instance feeding another subjob would need every
+// downstream copy's input re-specced, which is out of scope — and it must
+// not run active standby (the twin processes the same feed concurrently,
+// so pausing just the primary for state sync would fork the pair). The
+// new instance is placed like every build-time instance: named machines
+// must exist, empty names go to the Scheduler, and its lifecycle re-arms
+// through it.
 //
 // Protocol: the new instance is deployed suspended with early (inactive)
 // upstream connections and an active sink subscription for its own output
@@ -84,30 +88,30 @@ type RescaleReport struct {
 // instance's input dedups everything the donor already consumed, and its
 // partition guard drops everything the donor still owns. The cutover is
 // recorded on the donor's lifecycle as a migration event.
-func (p *Pipeline) ScaleOut(stage int, pl RescalePlacement, opt RescaleOptions) (*RescaleReport, error) {
+func (t *Topology) ScaleOut(id string, pl RescalePlacement, opt RescaleOptions) (*RescaleReport, error) {
 	opt = opt.withDefaults()
-	cl := p.cfg.Cluster
-	clk := cl.Clock()
+	clk := t.cfg.Cluster.Clock()
 	started := clk.Now()
 
-	if stage != len(p.cfg.Subjobs)-1 {
-		return nil, fmt.Errorf("ha: ScaleOut: only the last stage can grow live (got stage %d of %d)", stage, len(p.cfg.Subjobs))
+	nd := t.nodes[id]
+	if nd == nil {
+		return nil, fmt.Errorf("ha: ScaleOut: unknown subjob %q", id)
 	}
-	def := p.cfg.Subjobs[stage]
-	if !def.partitioned() {
-		return nil, fmt.Errorf("ha: ScaleOut: stage %d is not keyed-parallel", stage)
+	if !nd.def.partitioned() {
+		return nil, fmt.Errorf("ha: ScaleOut: subjob %s is not keyed-parallel", id)
 	}
-	if def.Mode == ModeActive {
-		return nil, fmt.Errorf("ha: ScaleOut: active-standby stages cannot rescale live")
+	if len(nd.consumers) > 0 {
+		return nil, fmt.Errorf("ha: ScaleOut: subjob %s feeds subjob %s; only a subjob read by sinks alone can grow live", id, nd.consumers[0])
 	}
-	split := p.linkSplit[stage]
+	if nd.def.Mode == ModeActive {
+		return nil, fmt.Errorf("ha: ScaleOut: active-standby subjobs cannot rescale live")
+	}
+	split := nd.split
 
-	p.mu.Lock()
-	n := len(p.stages[stage])
-	instances := append([]*Group(nil), p.stages[stage]...)
-	p.mu.Unlock()
+	instances := t.Instances(id)
+	n := len(instances)
 	if split.Instances() != n {
-		return nil, fmt.Errorf("ha: ScaleOut: routing table has %d instances, pipeline has %d", split.Instances(), n)
+		return nil, fmt.Errorf("ha: ScaleOut: routing table has %d instances, subjob has %d", split.Instances(), n)
 	}
 
 	// Donor: the instance owning the most partitions; it gives up half.
@@ -125,42 +129,26 @@ func (p *Pipeline) ScaleOut(stage int, pl RescalePlacement, opt RescaleOptions) 
 	donor := donorGroup.HA.PrimaryRuntime()
 
 	// Deploy the new instance suspended, with its partition guard installed
-	// before any element can reach it. Its output stream is new: the sink
+	// before any element can reach it. Its output stream is new: each sink
 	// learns it first, then the instance subscribes the sink actively (the
 	// output queue is empty, so the active subscription carries nothing yet).
-	newStream := p.outStream(stage, n)
-	p.mu.Lock()
-	p.linkStreams[stage+1] = append(p.linkStreams[stage+1], newStream)
-	p.mu.Unlock()
-
-	spec := subjob.Spec{
-		JobID:     p.cfg.JobID,
-		ID:        p.specID(stage, n),
-		InStreams: append([]string(nil), p.linkStreams[stage]...),
-		Owners:    p.ownersFor(stage),
-		OutStream: newStream,
-		PEs:       def.PEs,
-		BatchSize: def.BatchSize,
-	}
-	priM := cl.Machine(pl.Primary)
-	if priM == nil {
-		return nil, fmt.Errorf("ha: ScaleOut: unknown primary machine %q", pl.Primary)
-	}
-	rt, err := subjob.New(spec, priM, true)
+	g, err := t.buildGroup(nd, n, pl, true)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ha: ScaleOut: %w", err)
 	}
-	rt.SetInputPartition(split, n)
-	rt.Start()
-
-	p.sink.AddInput(newStream, spec.ID)
-	rt.Out().SubscribePart(p.sink.Node(), subjob.DataStream(p.sink.ID(), newStream), true, -1)
+	rt := g.HA.PrimaryRuntime()
+	for _, name := range nd.sinks {
+		sink := t.sinks[name]
+		sink.AddInput(g.Spec.OutStream, g.Spec.ID)
+		tgt := sinkTarget(sink, g.Spec.OutStream)
+		rt.Out().SubscribePart(tgt.Node, tgt.Stream, tgt.Active, tgt.Part)
+	}
 
 	// Early inactive upstream connections, filtered to the new instance's
 	// (currently empty) partition set.
-	ups := p.producerOutputs(stage)
+	ups := t.producerOutputs(nd.def.Inputs)
 	for _, up := range ups {
-		up.SubscribePart(rt.Node(), subjob.DataStream(spec.ID, up.StreamID), false, n)
+		up.SubscribePart(rt.Node(), subjob.DataStream(g.Spec.ID, up.StreamID), false, n)
 	}
 
 	// The migration owns the donor's delta baseline: an interleaved manager
@@ -170,7 +158,7 @@ func (p *Pipeline) ScaleOut(stage int, pl RescalePlacement, opt RescaleOptions) 
 		defer cm.Resume()
 	}
 
-	rep := &RescaleReport{Stage: stage, NewInstance: n, Donor: donorIdx, Moved: moved}
+	rep := &RescaleReport{Subjob: id, NewInstance: n, Donor: donorIdx, Moved: moved}
 
 	// Round 1: full snapshot, shipped encoded, while the donor serves on.
 	var snapBytes []byte
@@ -306,26 +294,11 @@ func (p *Pipeline) ScaleOut(stage int, pl RescalePlacement, opt RescaleOptions) 
 	cutEnd := clk.Now()
 	rep.CutoverPause = cutEnd.Sub(cutStart)
 
-	// Protect the new instance: a full HA group, same mode as its stage.
-	g := &Group{Def: def, Spec: spec, Mode: def.Mode, Stage: stage, Part: n}
-	pol := policyFor(def.Mode, p.cfg.Hybrid, p.cfg.PS, p.cfg.Approx, p.cfg.AckInterval)
-	secM := cl.Machine(pl.Secondary)
-	if pol.NeedsStandbyMachine() && secM == nil {
-		return nil, fmt.Errorf("ha: ScaleOut: unknown secondary machine %q", pl.Secondary)
-	}
-	g.HA = core.NewLifecycle(core.LifecycleConfig{
-		Spec:             spec,
-		Clock:            clk,
-		Primary:          rt,
-		SecondaryMachine: secM,
-		SpareMachine:     cl.Machine(pl.Spare),
-		Wiring:           p.wiringFor(stage, g),
-		Policy:           pol,
-	})
-	p.mu.Lock()
-	p.stages[stage] = append(p.stages[stage], g)
-	reg := p.reg
-	p.mu.Unlock()
+	// Protect the new instance: a full HA group, same mode as its subjob.
+	t.mu.Lock()
+	nd.groups = append(nd.groups, g)
+	reg := t.reg
+	t.mu.Unlock()
 	if err := g.HA.Start(); err != nil {
 		return nil, fmt.Errorf("ha: ScaleOut: start lifecycle: %w", err)
 	}

@@ -1,15 +1,18 @@
 package ha_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"streamha/internal/cluster"
 	"streamha/internal/core"
 	"streamha/internal/ha"
+	"streamha/internal/machine"
 	"streamha/internal/metrics"
 	"streamha/internal/pe"
 	"streamha/internal/queue"
+	"streamha/internal/sched"
 	"streamha/internal/subjob"
 )
 
@@ -164,7 +167,7 @@ func TestPartitionedMetrics(t *testing.T) {
 		names[n] = true
 	}
 	for _, want := range []string{
-		"partition/rescale/s0",
+		"partition/rescale/sj0",
 		"subjob/rescale/sj0.p0/primary",
 		"subjob/rescale/sj0.p1/primary",
 		"ha/rescale/sj0.p0",
@@ -176,9 +179,9 @@ func TestPartitionedMetrics(t *testing.T) {
 		}
 	}
 	snap := reg.Snapshot()
-	st, ok := snap["partition/rescale/s0"].(queue.PartitionerStats)
+	st, ok := snap["partition/rescale/sj0"].(queue.PartitionerStats)
 	if !ok {
-		t.Fatalf("partition metric snapshot is %T", snap["partition/rescale/s0"])
+		t.Fatalf("partition metric snapshot is %T", snap["partition/rescale/sj0"])
 	}
 	if st.Instances != 2 || st.Partitions != queue.DefaultPartitions {
 		t.Fatalf("partition stats %+v", st)
@@ -194,7 +197,7 @@ func TestPartitionedMetrics(t *testing.T) {
 	if !names["subjob/rescale/sj0.p2/primary"] || !names["ha/rescale/sj0.p2"] {
 		t.Fatalf("ScaleOut did not self-register the new instance; have %v", reg.Names())
 	}
-	if st := reg.Snapshot()["partition/rescale/s0"].(queue.PartitionerStats); st.Instances != 3 {
+	if st := reg.Snapshot()["partition/rescale/sj0"].(queue.PartitionerStats); st.Instances != 3 {
 		t.Fatalf("partition stats after rescale %+v", st)
 	}
 }
@@ -277,4 +280,109 @@ func TestRescaleRejectsActive(t *testing.T) {
 	if _, err := p.ScaleOut(0, ha.RescalePlacement{Primary: "x"}, ha.RescaleOptions{}); err == nil {
 		t.Fatal("ScaleOut accepted an active-standby stage")
 	}
+}
+
+// TestRescalePlacement: ScaleOut places its instance like every build-time
+// group. A named machine that does not exist is refused before anything
+// is deployed; with a Scheduler bound, empty names are placement requests,
+// the standby lands outside the primary's fault domain, and the new
+// instance's lifecycle re-arms through the scheduler when its standby
+// machine dies.
+func TestRescalePlacement(t *testing.T) {
+	t.Run("unknown spare", func(t *testing.T) {
+		_, p := buildRescaleTestbed(t)
+		pl := ha.RescalePlacement{Primary: "p-new", Secondary: "s-new", Spare: "no-such-machine"}
+		if _, err := p.ScaleOut(0, pl, ha.RescaleOptions{}); err == nil {
+			t.Fatal("ScaleOut accepted an unknown spare machine")
+		}
+		if n := len(p.StageInstances(0)); n != 2 {
+			t.Fatalf("refused ScaleOut left %d instances, want 2", n)
+		}
+		if n := p.StagePartitioner(0).Instances(); n != 2 {
+			t.Fatalf("refused ScaleOut left a %d-instance routing table, want 2", n)
+		}
+	})
+
+	t.Run("scheduled", func(t *testing.T) {
+		cl := cluster.New(cluster.Config{Latency: 200 * time.Microsecond})
+		cl.MustAddMachine("m-src")
+		cl.MustAddMachine("m-sink")
+		s, err := sched.New(sched.Config{
+			Clock: cl.Clock(),
+			Replicas: []*machine.Machine{
+				cl.MustAddMachine("sched-a"),
+				cl.MustAddMachine("sched-b"),
+				cl.MustAddMachine("sched-c"),
+			},
+			Tick:            5 * time.Millisecond,
+			ElectionTimeout: 40 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatalf("sched.New: %v", err)
+		}
+		s.Start()
+		// One copy per machine, with room for every copy: two copies
+		// consuming the same upstream output must not share a machine,
+		// since an output queue keys its subscribers by machine.
+		cl.BindScheduler(s, 1)
+		for i := 0; i < 9; i++ {
+			cl.MustAddMachineIn(fmt.Sprintf("w%d", i), fmt.Sprintf("rack-%d", i%3))
+		}
+		p, err := ha.NewPipeline(ha.PipelineConfig{
+			Cluster:     cl,
+			JobID:       "sched-rescale",
+			Source:      ha.SourceDef{Machine: "m-src", Rate: 2000, Tick: 2 * time.Millisecond},
+			SinkMachine: "m-sink",
+			Subjobs: []ha.SubjobDef{{
+				PEs:         cheapPEs(1),
+				Mode:        ha.ModeHybrid,
+				Parallelism: 2,
+				BatchSize:   16,
+			}},
+			Hybrid: core.Options{
+				HeartbeatInterval:  20 * time.Millisecond,
+				CheckpointInterval: 10 * time.Millisecond,
+				FailStopAfter:      120 * time.Millisecond,
+			},
+			TrackIDs:      true,
+			Scheduler:     s,
+			RearmInterval: 20 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatalf("NewPipeline: %v", err)
+		}
+		if err := p.Start(); err != nil {
+			t.Fatalf("Start: %v", err)
+		}
+		t.Cleanup(func() {
+			p.Stop()
+			s.Stop()
+			cl.Close()
+		})
+		clk := cl.Clock()
+		clk.Sleep(200 * time.Millisecond)
+
+		if _, err := p.ScaleOut(0, ha.RescalePlacement{}, ha.RescaleOptions{}); err != nil {
+			t.Fatalf("ScaleOut with scheduler-resolved placement: %v", err)
+		}
+		g := p.StageInstances(0)[2]
+		assertAntiAffine(t, cl, []*ha.Group{g}, "after ScaleOut")
+
+		_, sby := hostsOf(g)
+		if err := cl.CrashMachine(sby); err != nil {
+			t.Fatalf("crash %s: %v", sby, err)
+		}
+		for deadline := clk.Now().Add(3 * time.Second); len(g.HA.Rearms()) == 0; clk.Sleep(10 * time.Millisecond) {
+			if clk.Now().After(deadline) {
+				t.Fatalf("new instance never re-armed after losing standby host %s", sby)
+			}
+		}
+		if !waitProtectedGroups(cl, []*ha.Group{g}, 3*time.Second) {
+			t.Fatalf("new instance stayed unprotected after losing standby host %s", sby)
+		}
+		assertAntiAffine(t, cl, []*ha.Group{g}, "after re-arm")
+
+		drainPipeline(p, clk)
+		verifyExactlyOnce(t, p, 300)
+	})
 }

@@ -19,8 +19,8 @@ func diamondTopology(t *testing.T, mode ha.Mode) (*cluster.Cluster, *ha.Topology
 	topo, err := ha.NewTopology(ha.TopologyConfig{
 		Cluster: cl,
 		JobID:   "dag",
-		Sources: []ha.TopologySource{{Name: "feed", Machine: "m-src", Rate: 2000}},
-		Subjobs: []ha.TopologySubjob{
+		Sources: []ha.SourceDef{{Name: "feed", Machine: "m-src", Rate: 2000}},
+		Subjobs: []ha.SubjobDef{
 			{ID: "split", Inputs: []string{"feed"}, PEs: cheapPEs(1), Mode: ha.ModeNone, Primary: "m-split", BatchSize: 16},
 			{ID: "a", Inputs: []string{"split"}, PEs: cheapPEs(1), Mode: mode, Primary: "m-a", Secondary: "m-a2", BatchSize: 16},
 			{ID: "b", Inputs: []string{"split"}, PEs: cheapPEs(1), Mode: ha.ModeNone, Primary: "m-b", BatchSize: 16},
@@ -112,8 +112,8 @@ func TestTopologyRejectsCycles(t *testing.T) {
 	_, err := ha.NewTopology(ha.TopologyConfig{
 		Cluster: cl,
 		JobID:   "dag",
-		Sources: []ha.TopologySource{{Name: "s", Machine: "m-src", Rate: 100}},
-		Subjobs: []ha.TopologySubjob{
+		Sources: []ha.SourceDef{{Name: "s", Machine: "m-src", Rate: 100}},
+		Subjobs: []ha.SubjobDef{
 			{ID: "a", Inputs: []string{"s", "b"}, PEs: cheapPEs(1), Primary: "m-a"},
 			{ID: "b", Inputs: []string{"a"}, PEs: cheapPEs(1), Primary: "m-b"},
 		},
@@ -133,8 +133,8 @@ func TestTopologyRejectsUnknownInput(t *testing.T) {
 	_, err := ha.NewTopology(ha.TopologyConfig{
 		Cluster: cl,
 		JobID:   "dag",
-		Sources: []ha.TopologySource{{Name: "s", Machine: "m-src", Rate: 100}},
-		Subjobs: []ha.TopologySubjob{
+		Sources: []ha.SourceDef{{Name: "s", Machine: "m-src", Rate: 100}},
+		Subjobs: []ha.SubjobDef{
 			{ID: "a", Inputs: []string{"ghost"}, PEs: cheapPEs(1), Primary: "m-a"},
 		},
 		Sinks: []ha.TopologySink{{Name: "out", Machine: "m-sink", Inputs: []string{"a"}}},
@@ -144,23 +144,52 @@ func TestTopologyRejectsUnknownInput(t *testing.T) {
 	}
 }
 
+// TestTopologyRejectsDuplicateNames: sources, subjobs and sinks share one
+// namespace. A second sink under a taken name would overwrite the first in
+// the sink map, leaving the first sink's producers subscribed to a node
+// that never registered their stream — never acked, never trimmed.
 func TestTopologyRejectsDuplicateNames(t *testing.T) {
-	cl := cluster.New(cluster.Config{})
-	defer cl.Close()
-	for _, id := range []string{"m-src", "m-sink", "m-a"} {
-		cl.MustAddMachine(id)
+	sub := func(id string, inputs ...string) ha.SubjobDef {
+		return ha.SubjobDef{ID: id, Inputs: inputs, PEs: cheapPEs(1), Primary: "m-a"}
 	}
-	_, err := ha.NewTopology(ha.TopologyConfig{
-		Cluster: cl,
-		JobID:   "dag",
-		Sources: []ha.TopologySource{{Name: "x", Machine: "m-src", Rate: 100}},
-		Subjobs: []ha.TopologySubjob{
-			{ID: "x", Inputs: []string{"x"}, PEs: cheapPEs(1), Primary: "m-a"},
-		},
-		Sinks: []ha.TopologySink{{Name: "out", Machine: "m-sink", Inputs: []string{"x"}}},
-	})
-	if err == nil {
-		t.Fatal("duplicate node name accepted")
+	sink := func(name string, inputs ...string) ha.TopologySink {
+		return ha.TopologySink{Name: name, Machine: "m-sink", Inputs: inputs}
+	}
+	for _, tc := range []struct {
+		name    string
+		sources []string
+		subjobs []ha.SubjobDef
+		sinks   []ha.TopologySink
+	}{
+		{"source and subjob", []string{"x"}, []ha.SubjobDef{sub("x", "x")}, []ha.TopologySink{sink("out", "x")}},
+		{"two sources", []string{"x", "x"}, []ha.SubjobDef{sub("a", "x")}, []ha.TopologySink{sink("out", "a")}},
+		{"two subjobs", []string{"s"}, []ha.SubjobDef{sub("a", "s"), sub("a", "s")}, []ha.TopologySink{sink("out", "a")}},
+		{"two sinks", []string{"s"}, []ha.SubjobDef{sub("a", "s"), sub("b", "s")}, []ha.TopologySink{sink("out", "a"), sink("out", "b")}},
+		{"subjob and sink", []string{"s"}, []ha.SubjobDef{sub("a", "s")}, []ha.TopologySink{sink("a", "a")}},
+		{"source and sink", []string{"s"}, []ha.SubjobDef{sub("a", "s")}, []ha.TopologySink{sink("s", "a")}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := cluster.New(cluster.Config{})
+			defer cl.Close()
+			for _, id := range []string{"m-src", "m-sink", "m-a"} {
+				cl.MustAddMachine(id)
+			}
+			var sources []ha.SourceDef
+			for _, name := range tc.sources {
+				sources = append(sources, ha.SourceDef{Name: name, Machine: "m-src", Rate: 100})
+			}
+			topo, err := ha.NewTopology(ha.TopologyConfig{
+				Cluster: cl,
+				JobID:   "dag",
+				Sources: sources,
+				Subjobs: tc.subjobs,
+				Sinks:   tc.sinks,
+			})
+			if err == nil {
+				topo.Stop()
+				t.Fatal("duplicate node name accepted")
+			}
+		})
 	}
 }
 
@@ -184,8 +213,8 @@ func TestTopologyRejectsUnknownSpare(t *testing.T) {
 	_, err := ha.NewTopology(ha.TopologyConfig{
 		Cluster: cl,
 		JobID:   "dag",
-		Sources: []ha.TopologySource{{Name: "s", Machine: "m-src", Rate: 100}},
-		Subjobs: []ha.TopologySubjob{
+		Sources: []ha.SourceDef{{Name: "s", Machine: "m-src", Rate: 100}},
+		Subjobs: []ha.SubjobDef{
 			{ID: "a", Inputs: []string{"s"}, PEs: cheapPEs(1), Mode: ha.ModeHybrid,
 				Primary: "m-a", Secondary: "m-a2", Spare: "ghost"},
 		},
@@ -193,5 +222,90 @@ func TestTopologyRejectsUnknownSpare(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("unknown spare machine accepted")
+	}
+}
+
+// TestTopologyKeyedBranchSurvivesStall runs a diamond whose hybrid branch
+// has two keyed instances: split routes that branch through its partition
+// table while feeding the unkeyed branch everything, and merge fans both
+// keyed instances back in. Stalling one instance's primary must switch it
+// over without losing or duplicating an element at the sink.
+func TestTopologyKeyedBranchSurvivesStall(t *testing.T) {
+	cl := cluster.New(cluster.Config{Latency: 100 * time.Microsecond})
+	for _, id := range []string{"m-src", "m-sink", "m-split", "m-a0", "m-a1", "m-s0", "m-s1", "m-b", "m-merge"} {
+		cl.MustAddMachine(id)
+	}
+	topo, err := ha.NewTopology(ha.TopologyConfig{
+		Cluster: cl,
+		JobID:   "kdag",
+		Sources: []ha.SourceDef{{Name: "feed", Machine: "m-src", Rate: 2000}},
+		Subjobs: []ha.SubjobDef{
+			{ID: "split", Inputs: []string{"feed"}, PEs: cheapPEs(1), Mode: ha.ModeNone, Primary: "m-split", BatchSize: 16},
+			{ID: "a", Inputs: []string{"split"}, PEs: cheapPEs(1), Mode: ha.ModeHybrid, Parallelism: 2,
+				Primaries: []string{"m-a0", "m-a1"}, Secondaries: []string{"m-s0", "m-s1"}, BatchSize: 16},
+			{ID: "b", Inputs: []string{"split"}, PEs: cheapPEs(1), Mode: ha.ModeNone, Primary: "m-b", BatchSize: 16},
+			{ID: "merge", Inputs: []string{"a", "b"}, PEs: cheapPEs(1), Mode: ha.ModeNone, Primary: "m-merge", BatchSize: 16},
+		},
+		Sinks: []ha.TopologySink{{Name: "out", Machine: "m-sink", Inputs: []string{"merge"}, TrackIDs: true}},
+	})
+	if err != nil {
+		t.Fatalf("NewTopology: %v", err)
+	}
+	if err := topo.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	t.Cleanup(func() {
+		topo.Stop()
+		cl.Close()
+	})
+	time.Sleep(400 * time.Millisecond)
+
+	cl.Machine("m-a1").CPU().SetBackgroundLoad(1)
+	time.Sleep(300 * time.Millisecond)
+	cl.Machine("m-a1").CPU().SetBackgroundLoad(0)
+	time.Sleep(500 * time.Millisecond)
+	topo.Source("feed").Stop()
+	time.Sleep(400 * time.Millisecond)
+
+	insts := topo.Instances("a")
+	if len(insts) != 2 {
+		t.Fatalf("keyed branch has %d instances, want 2", len(insts))
+	}
+	for k, g := range insts {
+		if g.PrimaryRuntime().PEs()[0].Processed() == 0 {
+			t.Fatalf("instance %d processed nothing: the partition table did not spread keys", k)
+		}
+	}
+	if len(insts[1].HA.Switches()) == 0 {
+		t.Fatal("stalled keyed instance never switched")
+	}
+	verifyDiamondDelivery(t, topo, 800)
+}
+
+// TestTopologyRejectsProducerFeedingTwoKeyedSubjobs: an output queue holds
+// one router, so a producer cannot split its stream over two partition
+// tables.
+func TestTopologyRejectsProducerFeedingTwoKeyedSubjobs(t *testing.T) {
+	cl := cluster.New(cluster.Config{})
+	defer cl.Close()
+	for _, id := range []string{"m-src", "m-sink", "m-a"} {
+		cl.MustAddMachine(id)
+	}
+	keyed := func(id string) ha.SubjobDef {
+		return ha.SubjobDef{ID: id, Inputs: []string{"split"}, PEs: cheapPEs(1), Primary: "m-a", Parallelism: 2}
+	}
+	_, err := ha.NewTopology(ha.TopologyConfig{
+		Cluster: cl,
+		JobID:   "dag",
+		Sources: []ha.SourceDef{{Name: "s", Machine: "m-src", Rate: 100}},
+		Subjobs: []ha.SubjobDef{
+			{ID: "split", Inputs: []string{"s"}, PEs: cheapPEs(1), Primary: "m-a"},
+			keyed("a"),
+			keyed("b"),
+		},
+		Sinks: []ha.TopologySink{{Name: "out", Machine: "m-sink", Inputs: []string{"a", "b"}}},
+	})
+	if err == nil {
+		t.Fatal("producer feeding two keyed-parallel subjobs accepted")
 	}
 }

@@ -68,9 +68,10 @@ type (
 type (
 	// Mode selects a subjob's high-availability scheme.
 	Mode = ha.Mode
-	// SubjobDef places one subjob and selects its HA mode.
+	// SubjobDef declares one subjob (chain stage or DAG node) and selects
+	// its HA mode and keyed parallelism.
 	SubjobDef = ha.SubjobDef
-	// SourceDef places and shapes the job's source.
+	// SourceDef places and shapes one source.
 	SourceDef = ha.SourceDef
 	// PipelineConfig deploys a chain job.
 	PipelineConfig = ha.PipelineConfig
@@ -80,10 +81,8 @@ type (
 	TopologyConfig = ha.TopologyConfig
 	// Topology is a deployed DAG job.
 	Topology = ha.Topology
-	// TopologySource, TopologySubjob and TopologySink declare DAG nodes.
-	TopologySource = ha.TopologySource
-	TopologySubjob = ha.TopologySubjob
-	TopologySink   = ha.TopologySink
+	// TopologySink declares one sink of a DAG job.
+	TopologySink = ha.TopologySink
 	// Group is one deployed subjob with its HA apparatus.
 	Group = ha.Group
 	// HybridOptions tunes the hybrid method (intervals, costs, ablations).
@@ -96,8 +95,8 @@ type (
 	// DivergenceStats reports the loss an Approx-mode policy actually
 	// admitted across failovers, against its budget.
 	DivergenceStats = core.DivergenceStats
-	// RescalePlacement places the instance Pipeline.ScaleOut adds to a
-	// keyed-parallel stage.
+	// RescalePlacement places the instance ScaleOut adds to a
+	// keyed-parallel subjob.
 	RescalePlacement = ha.RescalePlacement
 	// RescaleOptions tunes a live ScaleOut (sync rounds, drain timeout).
 	RescaleOptions = ha.RescaleOptions
