@@ -5,9 +5,9 @@ package streamha_test
 //
 //	go test -bench=BenchmarkCheckpoint -benchmem
 //
-// The encode/decode benchmarks compare the binary snapshot codec against
-// the seed's gob encoding (kept as Snapshot.EncodeGob, the frozen
-// baseline). The pause benchmarks compare the seed protocol — capture,
+// The encode benchmarks compare the binary snapshot codec against the
+// seed's gob encoding, frozen in internal/experiment as the baseline; the
+// subjob package itself speaks only the binary codec. The pause benchmarks compare the seed protocol — capture,
 // encode and send all inside the pause — against the split pipeline where
 // the pause covers only the in-memory capture, full and incremental. The
 // bytes benchmarks measure shipped volume per sweep at ~1% state churn:

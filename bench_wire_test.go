@@ -5,11 +5,11 @@ package streamha_test
 //
 //	go test -bench=BenchmarkWire -benchmem
 //
-// The encode/decode benchmarks compare the length-prefixed binary codec
-// against the seed's gob framing (kept in tcp.go behind TCPConfig.Codec as
-// the frozen baseline); the TCP publish benchmarks run the same comparison
-// end to end over a loopback socket, including the writer's batched
-// single-flush drain. The scheduler benchmarks pit the timing wheel (the
+// The encode benchmarks compare the length-prefixed binary codec against a
+// gob encoding of the seed's frame shape, frozen in the bench harness; the
+// transport itself speaks only the binary codec. The TCP publish benchmark
+// runs the binary path end to end over a loopback socket, including the
+// writer's batched single-flush drain. The scheduler benchmarks pit the timing wheel (the
 // live Mem scheduler) against a verbatim copy of the seed's global-mutex
 // container/heap scheduler under 8 concurrent senders. Bodies live in
 // internal/experiment/wirebench.go so streamha-bench -fig wire measures
@@ -19,7 +19,6 @@ import (
 	"testing"
 
 	"streamha/internal/experiment"
-	"streamha/internal/transport"
 )
 
 func BenchmarkWireEncode(b *testing.B) {
@@ -32,8 +31,7 @@ func BenchmarkWireDecode(b *testing.B) {
 }
 
 func BenchmarkWireTCPPublish(b *testing.B) {
-	b.Run("binary", func(b *testing.B) { experiment.BenchWireTCPPublish(b, transport.CodecBinary) })
-	b.Run("gob-baseline", func(b *testing.B) { experiment.BenchWireTCPPublish(b, transport.CodecGob) })
+	b.Run("binary", experiment.BenchWireTCPPublish)
 }
 
 func BenchmarkWireSched(b *testing.B) {

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"testing"
 	"time"
@@ -15,7 +17,7 @@ import (
 )
 
 // This file measures the checkpoint path: the binary snapshot codec vs the
-// seed's gob encoding (kept as Snapshot.EncodeGob, the frozen baseline),
+// seed's gob encoding (encodeSnapshotGob, the frozen baseline),
 // the pause window under the seed protocol (encode inside the pause) vs
 // the split capture/ship pipeline, and the bytes shipped per sweep with
 // full snapshots vs incremental deltas at ~1% state churn. The bodies are
@@ -156,6 +158,16 @@ func BenchCheckpointEncodeBinary(b *testing.B) {
 	b.SetBytes(int64(len(dst)))
 }
 
+// encodeSnapshotGob is the seed's per-checkpoint snapshot encode, frozen
+// here as the gob baseline; production code speaks only the binary codec.
+func encodeSnapshotGob(s *subjob.Snapshot) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
+		return nil, fmt.Errorf("experiment: gob-encode snapshot: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
 // BenchCheckpointEncodeGob measures the same snapshot through the frozen
 // gob baseline, the seed's per-checkpoint encode.
 func BenchCheckpointEncodeGob(b *testing.B) {
@@ -165,7 +177,7 @@ func BenchCheckpointEncodeGob(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf, err := snap.EncodeGob()
+		buf, err := encodeSnapshotGob(snap)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -232,7 +244,7 @@ func BenchCheckpointPauseSeedGob(b *testing.B) {
 			snap := r.rt.CaptureFull()
 			snap.Input = r.rt.In().SnapshotBuf()
 			snap.Consumed = r.rt.In().AcceptedAll()
-			buf, err := snap.EncodeGob()
+			buf, err := encodeSnapshotGob(snap)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -333,7 +345,7 @@ func BenchCheckpointBytesFullGob(b *testing.B) {
 		r.feed(b, ckptChurnPerSweep)
 		r.rt.WithPaused(func() {
 			snap := r.rt.CaptureFull()
-			buf, err := snap.EncodeGob()
+			buf, err := encodeSnapshotGob(snap)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -15,17 +15,17 @@ import (
 )
 
 // This file measures the wire path: the cost of encoding one frame for the
-// TCP transport (hand-rolled length-prefixed binary codec vs the seed's gob
-// framing, which tcp.go keeps behind TCPConfig.Codec as the frozen
-// baseline), the end-to-end publish rate over a real socket under both
-// codecs, and the in-memory latency scheduler's throughput (timing wheel vs
-// a frozen copy of the seed's global-mutex container/heap scheduler). The
+// TCP transport (hand-rolled length-prefixed binary codec vs a frozen gob
+// encoding of the seed's frame shape), the end-to-end publish rate over a
+// real socket, and the in-memory latency scheduler's throughput (timing
+// wheel vs a frozen copy of the seed's global-mutex container/heap
+// scheduler). The
 // bodies are shared between the go-test harness (BenchmarkWire* in
 // bench_wire_test.go, which CI smoke-runs) and streamha-bench -fig wire, so
 // recorded numbers come from the same code.
 
-// gobWireFrame mirrors the TCP transport's gob wire unit, for the encode
-// baseline benchmark.
+// gobWireFrame is the seed TCP transport's gob wire unit, kept for the
+// encode baseline benchmark.
 type gobWireFrame struct {
 	From transport.NodeID
 	To   transport.NodeID
@@ -98,9 +98,9 @@ func BenchWireDecodeBinary(b *testing.B) {
 }
 
 // BenchWireTCPPublish runs the publish path across a real TCP loopback
-// connection under the given codec: the wire-path cost end to end,
-// including the writer's batch drain and single-flush writes.
-func BenchWireTCPPublish(b *testing.B, codec transport.Codec) {
+// connection: the wire-path cost end to end, including the writer's batch
+// drain and single-flush writes.
+func BenchWireTCPPublish(b *testing.B) {
 	recv, err := transport.NewTCP(transport.TCPConfig{Listen: "127.0.0.1:0"})
 	if err != nil {
 		b.Fatal(err)
@@ -115,7 +115,6 @@ func BenchWireTCPPublish(b *testing.B, codec transport.Codec) {
 
 	send, err := transport.NewTCP(transport.TCPConfig{
 		Peers: map[transport.NodeID]string{"sub0": recv.Addr()},
-		Codec: codec,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -359,8 +358,7 @@ func RunWire() *WireResult {
 	add("encode/binary", BenchWireEncodeBinary)
 	add("encode/gob-baseline", BenchWireEncodeGob)
 	add("decode/binary", BenchWireDecodeBinary)
-	add("tcp-publish/binary", func(b *testing.B) { BenchWireTCPPublish(b, transport.CodecBinary) })
-	add("tcp-publish/gob-baseline", func(b *testing.B) { BenchWireTCPPublish(b, transport.CodecGob) })
+	add("tcp-publish/binary", BenchWireTCPPublish)
 	add("sched-8senders/wheel", BenchWireSchedWheel)
 	add("sched-8senders/seed-heap", BenchWireSchedSeed)
 	return res

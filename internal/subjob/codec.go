@@ -1,23 +1,29 @@
 // Binary snapshot codec: the checkpoint-path counterpart of the transport
-// package's wire codec. Snapshots and deltas are serialized in a single
-// append pass into a buffer pre-sized by an exact length computation, so
-// steady-state encoding into a recycled buffer performs no allocation.
+// package's wire codec. Snapshots, deltas and partials are serialized in a
+// single append pass into a buffer pre-sized by an exact length
+// computation, so steady-state encoding into a recycled buffer performs no
+// allocation.
 //
 // Layout (all integers LEB128 uvarints unless noted):
 //
-//	full snapshot   "SHS2" version subjobID consumed peStates pipes input output stateUnits
-//	delta           "SHD2" version subjobID prevSeq consumed? peEntries pipeEntries input? output? stateUnits
+//	header          magic version subjobID [prevSeq, deltas only]
+//	full snapshot   "SHS2" header consumed peStates pipes input output stateUnits
+//	delta           "SHD2" header consumed? peTable pipeEntries input? output? stateUnits
+//	partial         "SHP2" header consumed outNext coldBytes peTable stateUnits
 //
 // where strings and byte slices are length-prefixed, element batches are a
 // count followed by the element package's fixed-width encoding, consumed
-// maps are sorted by key for deterministic output, and the optional delta
-// sections carry a leading presence/kind byte. The legacy gob encoding has
-// no magic preamble and remains decodable (see DecodeSnapshot), keeping
-// old checkpoint producers interoperable.
+// maps are sorted by key for deterministic output, the optional delta
+// sections carry a leading 0/1 presence byte, and a peTable is a count of
+// entries that each lead with an absent/patch/full kind byte. Every frame
+// starts with one of the three magics: bytes without one are rejected, and
+// every count is checked against the bytes left before anything is
+// allocated for it.
 package subjob
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -28,14 +34,20 @@ import (
 const (
 	snapMagic    = "SHS2"
 	deltaMagic   = "SHD2"
+	partialMagic = "SHP2"
 	codecVersion = 1
 )
 
+// PE-entry kinds in a peTable.
 const (
 	peAbsent = 0
 	peDelta  = 1
 	peFull   = 2
 )
+
+// minInputEntry is the smallest encoding of one input-queue entry: an
+// empty stream name's length byte plus the fixed-width element.
+const minInputEntry = 1 + element.EncodedSize
 
 func hasMagic(b []byte, magic string) bool {
 	return len(b) >= 4 && string(b[:4]) == magic
@@ -43,6 +55,17 @@ func hasMagic(b []byte, magic string) bool {
 
 // IsDelta reports whether an encoded checkpoint payload is a delta.
 func IsDelta(b []byte) bool { return hasMagic(b, deltaMagic) }
+
+// kindName names a frame kind, by its magic, in errors.
+func kindName(magic string) string {
+	switch magic {
+	case snapMagic:
+		return "snapshot"
+	case deltaMagic:
+		return "delta"
+	}
+	return "partial"
+}
 
 func uvarintLen(x uint64) int {
 	n := 1
@@ -53,9 +76,10 @@ func uvarintLen(x uint64) int {
 	return n
 }
 
-func sizeBytes(b []byte) int  { return uvarintLen(uint64(len(b))) + len(b) }
-func sizeString(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
-func sizeElems(n int) int     { return uvarintLen(uint64(n)) + n*element.EncodedSize }
+func sizeBytes(b []byte) int   { return uvarintLen(uint64(len(b))) + len(b) }
+func sizeString(s string) int  { return uvarintLen(uint64(len(s))) + len(s) }
+func sizeElems(n int) int      { return uvarintLen(uint64(n)) + n*element.EncodedSize }
+func sizeHeader(id string) int { return 4 + 1 + sizeString(id) }
 
 func sizeConsumed(m map[string]uint64) int {
 	n := uvarintLen(uint64(len(m)))
@@ -63,6 +87,37 @@ func sizeConsumed(m map[string]uint64) int {
 		n += sizeString(k) + uvarintLen(v)
 	}
 	return n
+}
+
+func sizeInput(in []queue.In) int {
+	n := uvarintLen(uint64(len(in)))
+	for _, e := range in {
+		n += sizeString(e.Stream) + element.EncodedSize
+	}
+	return n
+}
+
+// sizePETable sizes the PE-entry table of patch and full, which have equal
+// lengths; entry i is full[i] if non-nil, else patch[i] if non-nil, else
+// absent.
+func sizePETable(patch, full [][]byte) int {
+	n := uvarintLen(uint64(len(patch)))
+	for i := range patch {
+		n++ // kind byte
+		switch {
+		case full[i] != nil:
+			n += sizeBytes(full[i])
+		case patch[i] != nil:
+			n += sizeBytes(patch[i])
+		}
+	}
+	return n
+}
+
+func appendHeader(dst []byte, magic, id string) []byte {
+	dst = append(dst, magic...)
+	dst = append(dst, codecVersion)
+	return appendString(dst, id)
 }
 
 func appendString(dst []byte, s string) []byte {
@@ -78,6 +133,13 @@ func appendBytes(dst, b []byte) []byte {
 func appendElems(dst []byte, elems []element.Element) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(elems)))
 	return element.AppendBatch(dst, elems)
+}
+
+func appendFlag(dst []byte, set bool) []byte {
+	if set {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
 }
 
 func appendConsumed(dst []byte, m map[string]uint64) []byte {
@@ -97,11 +159,39 @@ func appendConsumed(dst []byte, m map[string]uint64) []byte {
 	return dst
 }
 
+func appendInput(dst []byte, in []queue.In) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(in)))
+	for _, e := range in {
+		dst = appendString(dst, e.Stream)
+		dst = e.Elem.AppendEncode(dst)
+	}
+	return dst
+}
+
+// appendPETable appends the PE-entry table of patch and full (see
+// sizePETable).
+func appendPETable(dst []byte, patch, full [][]byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(patch)))
+	for i := range patch {
+		switch {
+		case full[i] != nil:
+			dst = append(dst, peFull)
+			dst = appendBytes(dst, full[i])
+		case patch[i] != nil:
+			dst = append(dst, peDelta)
+			dst = appendBytes(dst, patch[i])
+		default:
+			dst = append(dst, peAbsent)
+		}
+	}
+	return dst
+}
+
 // EncodedSize returns the exact byte length of the snapshot's binary
 // encoding, letting callers size the destination buffer for a single
 // allocation-free append pass.
 func (s *Snapshot) EncodedSize() int {
-	n := 4 + 1 + sizeString(s.SubjobID) + sizeConsumed(s.Consumed)
+	n := sizeHeader(s.SubjobID) + sizeConsumed(s.Consumed)
 	n += uvarintLen(uint64(len(s.PEStates)))
 	for _, st := range s.PEStates {
 		n += sizeBytes(st)
@@ -110,10 +200,7 @@ func (s *Snapshot) EncodedSize() int {
 	for _, p := range s.Pipes {
 		n += sizeElems(len(p))
 	}
-	n += uvarintLen(uint64(len(s.Input)))
-	for _, in := range s.Input {
-		n += sizeString(in.Stream) + element.EncodedSize
-	}
+	n += sizeInput(s.Input)
 	n += sizeString(s.Output.StreamID) + uvarintLen(s.Output.Floor) + uvarintLen(s.Output.NextSeq)
 	n += sizeElems(len(s.Output.Buf))
 	n += uvarintLen(uint64(s.StateUnits))
@@ -124,9 +211,7 @@ func (s *Snapshot) EncodedSize() int {
 // extended slice. With a recycled buffer of sufficient capacity the encode
 // allocates nothing.
 func (s *Snapshot) AppendTo(dst []byte) []byte {
-	dst = append(dst, snapMagic...)
-	dst = append(dst, codecVersion)
-	dst = appendString(dst, s.SubjobID)
+	dst = appendHeader(dst, snapMagic, s.SubjobID)
 	dst = appendConsumed(dst, s.Consumed)
 	dst = binary.AppendUvarint(dst, uint64(len(s.PEStates)))
 	for _, st := range s.PEStates {
@@ -136,11 +221,7 @@ func (s *Snapshot) AppendTo(dst []byte) []byte {
 	for _, p := range s.Pipes {
 		dst = appendElems(dst, p)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(s.Input)))
-	for _, in := range s.Input {
-		dst = appendString(dst, in.Stream)
-		dst = in.Elem.AppendEncode(dst)
-	}
+	dst = appendInput(dst, s.Input)
 	dst = appendString(dst, s.Output.StreamID)
 	dst = binary.AppendUvarint(dst, s.Output.Floor)
 	dst = binary.AppendUvarint(dst, s.Output.NextSeq)
@@ -150,21 +231,12 @@ func (s *Snapshot) AppendTo(dst []byte) []byte {
 
 // EncodedSize returns the exact byte length of the delta's binary encoding.
 func (d *Delta) EncodedSize() int {
-	n := 4 + 1 + sizeString(d.SubjobID) + uvarintLen(d.PrevSeq)
+	n := sizeHeader(d.SubjobID) + uvarintLen(d.PrevSeq)
 	n++ // consumed presence flag
 	if d.Consumed != nil {
 		n += sizeConsumed(d.Consumed)
 	}
-	n += uvarintLen(uint64(len(d.PEDeltas)))
-	for i := range d.PEDeltas {
-		n++ // kind byte
-		switch {
-		case d.PEFull[i] != nil:
-			n += sizeBytes(d.PEFull[i])
-		case d.PEDeltas[i] != nil:
-			n += sizeBytes(d.PEDeltas[i])
-		}
-	}
+	n += sizePETable(d.PEDeltas, d.PEFull)
 	n += uvarintLen(uint64(len(d.Pipes)))
 	for i, p := range d.Pipes {
 		n++ // presence byte
@@ -174,10 +246,7 @@ func (d *Delta) EncodedSize() int {
 	}
 	n++ // input presence flag
 	if d.HasInput {
-		n += uvarintLen(uint64(len(d.Input)))
-		for _, in := range d.Input {
-			n += sizeString(in.Stream) + element.EncodedSize
-		}
+		n += sizeInput(d.Input)
 	}
 	n++ // output presence flag
 	if d.HasOutput {
@@ -190,57 +259,31 @@ func (d *Delta) EncodedSize() int {
 // AppendTo appends the delta's binary encoding to dst and returns the
 // extended slice.
 func (d *Delta) AppendTo(dst []byte) []byte {
-	dst = append(dst, deltaMagic...)
-	dst = append(dst, codecVersion)
-	dst = appendString(dst, d.SubjobID)
+	dst = appendHeader(dst, deltaMagic, d.SubjobID)
 	dst = binary.AppendUvarint(dst, d.PrevSeq)
+	dst = appendFlag(dst, d.Consumed != nil)
 	if d.Consumed != nil {
-		dst = append(dst, 1)
 		dst = appendConsumed(dst, d.Consumed)
-	} else {
-		dst = append(dst, 0)
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(d.PEDeltas)))
-	for i := range d.PEDeltas {
-		switch {
-		case d.PEFull[i] != nil:
-			dst = append(dst, peFull)
-			dst = appendBytes(dst, d.PEFull[i])
-		case d.PEDeltas[i] != nil:
-			dst = append(dst, peDelta)
-			dst = appendBytes(dst, d.PEDeltas[i])
-		default:
-			dst = append(dst, peAbsent)
-		}
-	}
+	dst = appendPETable(dst, d.PEDeltas, d.PEFull)
 	dst = binary.AppendUvarint(dst, uint64(len(d.Pipes)))
 	for i, p := range d.Pipes {
+		dst = appendFlag(dst, d.PipeSet[i])
 		if d.PipeSet[i] {
-			dst = append(dst, 1)
 			dst = appendElems(dst, p)
-		} else {
-			dst = append(dst, 0)
 		}
 	}
+	dst = appendFlag(dst, d.HasInput)
 	if d.HasInput {
-		dst = append(dst, 1)
-		dst = binary.AppendUvarint(dst, uint64(len(d.Input)))
-		for _, in := range d.Input {
-			dst = appendString(dst, in.Stream)
-			dst = in.Elem.AppendEncode(dst)
-		}
-	} else {
-		dst = append(dst, 0)
+		dst = appendInput(dst, d.Input)
 	}
+	dst = appendFlag(dst, d.HasOutput)
 	if d.HasOutput {
-		dst = append(dst, 1)
 		dst = appendString(dst, d.Output.StreamID)
 		dst = binary.AppendUvarint(dst, d.Output.Floor)
 		dst = binary.AppendUvarint(dst, d.Output.NextSeq)
 		dst = binary.AppendUvarint(dst, d.Output.FromSeq)
 		dst = appendElems(dst, d.Output.New)
-	} else {
-		dst = append(dst, 0)
 	}
 	return binary.AppendUvarint(dst, uint64(d.StateUnits))
 }
@@ -278,6 +321,19 @@ func (r *creader) uvarint() uint64 {
 	return v
 }
 
+// count reads an entry count and rejects it unless that many entries of
+// at least minSize bytes each fit in the bytes left, so a corrupt count
+// cannot drive an allocation larger than the payload. It returns 0 once
+// the reader has failed.
+func (r *creader) count(minSize int) int {
+	n := r.uvarint()
+	if r.err == nil && n > uint64(len(r.b)/minSize) {
+		r.fail("count %d exceeds the %d bytes left", n, len(r.b))
+		return 0
+	}
+	return int(n)
+}
+
 func (r *creader) byte() byte {
 	if r.err != nil {
 		return 0
@@ -289,6 +345,15 @@ func (r *creader) byte() byte {
 	v := r.b[0]
 	r.b = r.b[1:]
 	return v
+}
+
+// flag reads a 0/1 presence byte.
+func (r *creader) flag() bool {
+	v := r.byte()
+	if v > 1 {
+		r.fail("presence flag %d", v)
+	}
+	return v == 1
 }
 
 func (r *creader) take(n uint64) []byte {
@@ -319,12 +384,12 @@ func (r *creader) bytes() []byte {
 }
 
 func (r *creader) consumed() map[string]uint64 {
-	n := r.uvarint()
-	if n == 0 || r.err != nil {
+	n := r.count(2) // key length byte + value varint
+	if n == 0 {
 		return nil
 	}
 	m := make(map[string]uint64, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.err == nil; i++ {
 		k := r.str()
 		m[k] = r.uvarint()
 	}
@@ -332,11 +397,11 @@ func (r *creader) consumed() map[string]uint64 {
 }
 
 func (r *creader) elems() []element.Element {
-	n := r.uvarint()
-	if n == 0 || r.err != nil {
+	n := r.count(element.EncodedSize)
+	if n == 0 {
 		return nil
 	}
-	out, rest, err := element.DecodeBatch(nil, r.b, int(n))
+	out, rest, err := element.DecodeBatch(nil, r.b, n)
 	if err != nil {
 		r.fail("element batch: %v", err)
 		return nil
@@ -346,12 +411,12 @@ func (r *creader) elems() []element.Element {
 }
 
 func (r *creader) input() []queue.In {
-	n := r.uvarint()
-	if n == 0 || r.err != nil {
+	n := r.count(minInputEntry)
+	if n == 0 {
 		return nil
 	}
 	out := make([]queue.In, 0, n)
-	for i := uint64(0); i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.err == nil; i++ {
 		stream := r.str()
 		raw := r.take(element.EncodedSize)
 		if r.err != nil {
@@ -367,6 +432,32 @@ func (r *creader) input() []queue.In {
 	return out
 }
 
+// peTable reads a PE-entry table (see sizePETable) into fresh patch and
+// full slices of equal length. A full entry with empty state decodes as
+// a non-nil empty slice so that it stays distinct from an absent one.
+func (r *creader) peTable() (patch, full [][]byte) {
+	n := r.count(1)
+	if r.err != nil {
+		return nil, nil
+	}
+	patch, full = make([][]byte, n), make([][]byte, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		switch kind := r.byte(); kind {
+		case peAbsent:
+		case peDelta:
+			patch[i] = r.bytes()
+		case peFull:
+			full[i] = r.bytes()
+			if full[i] == nil {
+				full[i] = []byte{}
+			}
+		default:
+			r.fail("unknown PE entry kind %d", kind)
+		}
+	}
+	return patch, full
+}
+
 func (r *creader) done(what string) error {
 	if r.err != nil {
 		return r.err
@@ -377,21 +468,62 @@ func (r *creader) done(what string) error {
 	return nil
 }
 
-func decodeSnapshotBinary(b []byte) (*Snapshot, error) {
-	r := &creader{b: b[4:]}
-	if v := r.byte(); r.err == nil && v != codecVersion {
-		return nil, fmt.Errorf("subjob: unknown snapshot codec version %d", v)
+// readHeader reads the header every checkpoint frame starts with — magic,
+// codec version, subjob ID and, for deltas, the chain predecessor — and
+// returns it with a reader positioned at the frame body. A non-empty want
+// is the only magic the caller accepts. Bytes without a checkpoint magic
+// are an error: there is no other format to fall back to.
+func readHeader(b []byte, want string) (CheckpointInfo, creader, error) {
+	var info CheckpointInfo
+	var magic string
+	switch {
+	case hasMagic(b, snapMagic):
+		magic = snapMagic
+	case hasMagic(b, deltaMagic):
+		magic, info.IsDelta = deltaMagic, true
+	case hasMagic(b, partialMagic):
+		magic, info.IsPartial = partialMagic, true
+	case len(b) == 0:
+		return info, creader{}, errors.New("subjob: empty checkpoint payload")
+	default:
+		return info, creader{}, errors.New("subjob: not a checkpoint payload (no SHS2/SHD2/SHP2 magic)")
 	}
-	s := &Snapshot{}
-	s.SubjobID = r.str()
+	if want != "" && magic != want {
+		return CheckpointInfo{}, creader{}, fmt.Errorf("subjob: %s checkpoint where %s expected", kindName(magic), kindName(want))
+	}
+	r := creader{b: b[4:]}
+	if v := r.byte(); r.err == nil && v != codecVersion {
+		return CheckpointInfo{}, creader{}, fmt.Errorf("subjob: unknown %s codec version %d", kindName(magic), v)
+	}
+	info.SubjobID = r.str()
+	if info.IsDelta {
+		info.PrevSeq = r.uvarint()
+	}
+	if r.err != nil {
+		return CheckpointInfo{}, creader{}, r.err
+	}
+	return info, r, nil
+}
+
+// DecodeSnapshot parses an encoded full snapshot.
+func DecodeSnapshot(b []byte) (*Snapshot, error) {
+	info, r, err := readHeader(b, snapMagic)
+	if err != nil {
+		return nil, err
+	}
+	return r.snapshot(info)
+}
+
+func (r *creader) snapshot(info CheckpointInfo) (*Snapshot, error) {
+	s := &Snapshot{SubjobID: info.SubjobID}
 	s.Consumed = r.consumed()
-	if n := r.uvarint(); n > 0 && r.err == nil {
+	if n := r.count(1); n > 0 {
 		s.PEStates = make([][]byte, n)
 		for i := range s.PEStates {
 			s.PEStates[i] = r.bytes()
 		}
 	}
-	if n := r.uvarint(); n > 0 && r.err == nil {
+	if n := r.count(1); n > 0 {
 		s.Pipes = make([][]element.Element, n)
 		for i := range s.Pipes {
 			s.Pipes[i] = r.elems()
@@ -411,58 +543,37 @@ func decodeSnapshotBinary(b []byte) (*Snapshot, error) {
 
 // DecodeDelta parses an encoded delta checkpoint.
 func DecodeDelta(b []byte) (*Delta, error) {
-	if !hasMagic(b, deltaMagic) {
-		return nil, fmt.Errorf("subjob: not a delta checkpoint")
+	info, r, err := readHeader(b, deltaMagic)
+	if err != nil {
+		return nil, err
 	}
-	r := &creader{b: b[4:]}
-	if v := r.byte(); r.err == nil && v != codecVersion {
-		return nil, fmt.Errorf("subjob: unknown delta codec version %d", v)
-	}
-	d := &Delta{}
-	d.SubjobID = r.str()
-	d.PrevSeq = r.uvarint()
-	if r.byte() == 1 {
+	return r.delta(info)
+}
+
+func (r *creader) delta(info CheckpointInfo) (*Delta, error) {
+	d := &Delta{SubjobID: info.SubjobID, PrevSeq: info.PrevSeq}
+	if r.flag() {
 		d.Consumed = r.consumed()
 		if d.Consumed == nil && r.err == nil {
 			d.Consumed = map[string]uint64{}
 		}
 	}
-	nPE := r.uvarint()
-	if r.err == nil {
-		d.PEDeltas = make([][]byte, nPE)
-		d.PEFull = make([][]byte, nPE)
-		for i := uint64(0); i < nPE && r.err == nil; i++ {
-			switch kind := r.byte(); kind {
-			case peAbsent:
-			case peDelta:
-				d.PEDeltas[i] = r.bytes()
-			case peFull:
-				b := r.bytes()
-				if b == nil {
-					b = []byte{}
-				}
-				d.PEFull[i] = b
-			default:
-				r.fail("unknown PE entry kind %d", kind)
-			}
-		}
-	}
-	nPipes := r.uvarint()
-	if r.err == nil {
-		d.Pipes = make([][]element.Element, nPipes)
-		d.PipeSet = make([]bool, nPipes)
-		for i := uint64(0); i < nPipes && r.err == nil; i++ {
-			if r.byte() == 1 {
+	d.PEDeltas, d.PEFull = r.peTable()
+	if n := r.count(1); r.err == nil {
+		d.Pipes = make([][]element.Element, n)
+		d.PipeSet = make([]bool, n)
+		for i := 0; i < n && r.err == nil; i++ {
+			if r.flag() {
 				d.PipeSet[i] = true
 				d.Pipes[i] = r.elems()
 			}
 		}
 	}
-	if r.byte() == 1 {
+	if r.flag() {
 		d.HasInput = true
 		d.Input = r.input()
 	}
-	if r.byte() == 1 {
+	if r.flag() {
 		d.HasOutput = true
 		d.Output.StreamID = r.str()
 		d.Output.Floor = r.uvarint()
@@ -482,14 +593,17 @@ func DecodeDelta(b []byte) (*Delta, error) {
 // Partial (bounded-error) frames are not valid here: they never enter the
 // store fold or the durable catalog, so reaching one is a routing bug.
 func DecodeCheckpoint(b []byte) (*Snapshot, *Delta, error) {
-	if IsPartial(b) {
+	info, r, err := readHeader(b, "")
+	switch {
+	case err != nil:
+		return nil, nil, err
+	case info.IsPartial:
 		return nil, nil, fmt.Errorf("subjob: partial checkpoint where full/delta expected (partial frames are not foldable)")
-	}
-	if IsDelta(b) {
-		d, err := DecodeDelta(b)
+	case info.IsDelta:
+		d, err := r.delta(info)
 		return nil, d, err
 	}
-	s, err := DecodeSnapshot(b)
+	s, err := r.snapshot(info)
 	return s, nil, err
 }
 
@@ -506,49 +620,9 @@ type CheckpointInfo struct {
 }
 
 // PeekCheckpoint reads a checkpoint payload's header — subjob identity,
-// kind, and (for deltas) the chain predecessor. Binary payloads cost only
-// a few header bytes; legacy gob payloads fall back to a full decode.
+// kind, and (for deltas) the chain predecessor — at the cost of a few
+// header bytes.
 func PeekCheckpoint(b []byte) (CheckpointInfo, error) {
-	switch {
-	case hasMagic(b, snapMagic):
-		r := &creader{b: b[4:]}
-		if v := r.byte(); r.err == nil && v != codecVersion {
-			return CheckpointInfo{}, fmt.Errorf("subjob: unknown snapshot codec version %d", v)
-		}
-		id := r.str()
-		if r.err != nil {
-			return CheckpointInfo{}, r.err
-		}
-		return CheckpointInfo{SubjobID: id}, nil
-	case hasMagic(b, deltaMagic):
-		r := &creader{b: b[4:]}
-		if v := r.byte(); r.err == nil && v != codecVersion {
-			return CheckpointInfo{}, fmt.Errorf("subjob: unknown delta codec version %d", v)
-		}
-		id := r.str()
-		prev := r.uvarint()
-		if r.err != nil {
-			return CheckpointInfo{}, r.err
-		}
-		return CheckpointInfo{SubjobID: id, IsDelta: true, PrevSeq: prev}, nil
-	case hasMagic(b, partialMagic):
-		r := &creader{b: b[4:]}
-		if v := r.byte(); r.err == nil && v != codecVersion {
-			return CheckpointInfo{}, fmt.Errorf("subjob: unknown partial codec version %d", v)
-		}
-		id := r.str()
-		if r.err != nil {
-			return CheckpointInfo{}, r.err
-		}
-		return CheckpointInfo{SubjobID: id, IsPartial: true}, nil
-	default:
-		snap, delta, err := DecodeCheckpoint(b)
-		if err != nil {
-			return CheckpointInfo{}, err
-		}
-		if delta != nil {
-			return CheckpointInfo{SubjobID: delta.SubjobID, IsDelta: true, PrevSeq: delta.PrevSeq}, nil
-		}
-		return CheckpointInfo{SubjobID: snap.SubjobID}, nil
-	}
+	info, _, err := readHeader(b, "")
+	return info, err
 }

@@ -2,24 +2,33 @@ package subjob
 
 import (
 	"bytes"
+	"encoding/gob"
 	"strings"
 	"testing"
 )
 
-// TestCodecAutoDetectEdgeCases pins the codec's format sniffing on the
+// gobBytes gob-encodes v: the seed's checkpoint encoding, which the codec
+// must now refuse.
+func gobBytes(t *testing.T, v any) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestCodecAutoDetectEdgeCases pins the codec's magic detection on the
 // degenerate payloads where a length- or content-based heuristic would
 // misroute: empty and zero-PE checkpoints (whose binary encoding is
-// little more than the magic preamble), truncated preambles, and
-// single-byte payloads. Detection is a strict 4-byte prefix match, so
-// every case must either decode through the binary path or fail cleanly
-// — never panic, and never fall through to gob for a binary payload.
+// little more than the magic preamble), truncated preambles, single-byte
+// payloads, and gob-encoded snapshots from the retired seed codec.
+// Detection is a strict 4-byte prefix match, so every case must either
+// decode through the binary path or fail cleanly — never panic, and
+// never decode a payload that lacks a checkpoint magic.
 func TestCodecAutoDetectEdgeCases(t *testing.T) {
 	emptySnap := &Snapshot{SubjobID: "j/empty"}
 	emptySnapBin, err := emptySnap.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	emptySnapGob, err := emptySnap.EncodeGob()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +47,8 @@ func TestCodecAutoDetectEdgeCases(t *testing.T) {
 		wantDelta bool
 	}{
 		{"empty snapshot binary", emptySnapBin, true, false},
-		{"empty snapshot gob", emptySnapGob, true, false},
+		{"empty snapshot gob", gobBytes(t, emptySnap), false, false},
+		{"populated snapshot gob", gobBytes(t, goldenSnapshot()), false, false},
 		{"empty delta binary", emptyDeltaBin, false, true},
 		{"nil payload", nil, false, false},
 		{"empty payload", []byte{}, false, false},
@@ -100,8 +110,7 @@ func TestCodecAutoDetectEdgeCases(t *testing.T) {
 // TestCodecEmptySnapshotBinaryRouting is the regression distilled: a
 // zero-PE snapshot's binary encoding is only a few bytes longer than the
 // preamble, and it must round-trip through the binary decoder rather
-// than being misdetected as legacy gob (which would reject it with an
-// opaque gob error).
+// than being misdetected as a foreign format.
 func TestCodecEmptySnapshotBinaryRouting(t *testing.T) {
 	s := &Snapshot{SubjobID: "j/z"}
 	enc, err := s.Encode()
@@ -130,9 +139,9 @@ func TestCodecEmptySnapshotBinaryRouting(t *testing.T) {
 	}
 
 	// The same payload with its magic clipped must NOT silently decode
-	// as gob to a zero snapshot — it has to be an explicit error.
+	// to a zero snapshot — it has to be an explicit error.
 	if _, err := DecodeSnapshot(enc[1:]); err == nil {
-		t.Fatal("clipped binary payload accepted via gob fallback")
+		t.Fatal("clipped binary payload accepted")
 	}
 }
 

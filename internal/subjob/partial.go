@@ -1,14 +1,6 @@
 package subjob
 
-import (
-	"encoding/binary"
-	"fmt"
-)
-
-// partialMagic frames a partial (bounded-error) checkpoint, the third
-// checkpoint kind next to full snapshots ("SHS2") and chained deltas
-// ("SHD2").
-const partialMagic = "SHP2"
+import "encoding/binary"
 
 // Partial is a bounded-error checkpoint: only the hot byte ranges of each
 // PE's state (the pages its dirty tracking saw change since the previous
@@ -53,18 +45,9 @@ func IsPartial(b []byte) bool { return hasMagic(b, partialMagic) }
 // EncodedSize returns the exact byte length of the partial's binary
 // encoding.
 func (p *Partial) EncodedSize() int {
-	n := 4 + 1 + sizeString(p.SubjobID) + sizeConsumed(p.Consumed)
+	n := sizeHeader(p.SubjobID) + sizeConsumed(p.Consumed)
 	n += uvarintLen(p.OutNext) + uvarintLen(p.ColdBytes)
-	n += uvarintLen(uint64(len(p.PEPatches)))
-	for i := range p.PEPatches {
-		n++ // kind byte
-		switch {
-		case p.PEFull[i] != nil:
-			n += sizeBytes(p.PEFull[i])
-		case p.PEPatches[i] != nil:
-			n += sizeBytes(p.PEPatches[i])
-		}
-	}
+	n += sizePETable(p.PEPatches, p.PEFull)
 	return n + uvarintLen(uint64(p.StateUnits))
 }
 
@@ -72,25 +55,11 @@ func (p *Partial) EncodedSize() int {
 // extended slice. With a recycled buffer of sufficient capacity the encode
 // allocates nothing.
 func (p *Partial) AppendTo(dst []byte) []byte {
-	dst = append(dst, partialMagic...)
-	dst = append(dst, codecVersion)
-	dst = appendString(dst, p.SubjobID)
+	dst = appendHeader(dst, partialMagic, p.SubjobID)
 	dst = appendConsumed(dst, p.Consumed)
 	dst = binary.AppendUvarint(dst, p.OutNext)
 	dst = binary.AppendUvarint(dst, p.ColdBytes)
-	dst = binary.AppendUvarint(dst, uint64(len(p.PEPatches)))
-	for i := range p.PEPatches {
-		switch {
-		case p.PEFull[i] != nil:
-			dst = append(dst, peFull)
-			dst = appendBytes(dst, p.PEFull[i])
-		case p.PEPatches[i] != nil:
-			dst = append(dst, peDelta)
-			dst = appendBytes(dst, p.PEPatches[i])
-		default:
-			dst = append(dst, peAbsent)
-		}
-	}
+	dst = appendPETable(dst, p.PEPatches, p.PEFull)
 	return binary.AppendUvarint(dst, uint64(p.StateUnits))
 }
 
@@ -102,38 +71,15 @@ func (p *Partial) Encode() ([]byte, error) {
 
 // DecodePartial parses an encoded partial checkpoint.
 func DecodePartial(b []byte) (*Partial, error) {
-	if !hasMagic(b, partialMagic) {
-		return nil, fmt.Errorf("subjob: not a partial checkpoint")
+	info, r, err := readHeader(b, partialMagic)
+	if err != nil {
+		return nil, err
 	}
-	r := &creader{b: b[4:]}
-	if v := r.byte(); r.err == nil && v != codecVersion {
-		return nil, fmt.Errorf("subjob: unknown partial codec version %d", v)
-	}
-	p := &Partial{}
-	p.SubjobID = r.str()
+	p := &Partial{SubjobID: info.SubjobID}
 	p.Consumed = r.consumed()
 	p.OutNext = r.uvarint()
 	p.ColdBytes = r.uvarint()
-	nPE := r.uvarint()
-	if r.err == nil {
-		p.PEPatches = make([][]byte, nPE)
-		p.PEFull = make([][]byte, nPE)
-		for i := uint64(0); i < nPE && r.err == nil; i++ {
-			switch kind := r.byte(); kind {
-			case peAbsent:
-			case peDelta:
-				p.PEPatches[i] = r.bytes()
-			case peFull:
-				b := r.bytes()
-				if b == nil {
-					b = []byte{}
-				}
-				p.PEFull[i] = b
-			default:
-				r.fail("unknown PE entry kind %d", kind)
-			}
-		}
-	}
+	p.PEPatches, p.PEFull = r.peTable()
 	p.StateUnits = int(r.uvarint())
 	if err := r.done("partial"); err != nil {
 		return nil, err

@@ -2,7 +2,9 @@ package transport
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"math/rand"
 	"net"
 	"reflect"
@@ -124,10 +126,10 @@ func TestDecodeFrameRejectsElementCountOverrun(t *testing.T) {
 	}
 }
 
-// startCodecPair builds a listening receiver segment plus a sender segment
-// configured with codec, registers a collector on the receiver, and returns
-// (sender endpoint, receiver segment, collector, cleanup).
-func startCodecPair(t *testing.T, codec Codec) (Endpoint, *TCP, *collector, func()) {
+// startTCPPair builds a listening receiver segment plus a sender segment
+// that routes "dst" to it, registers a collector on the receiver, and
+// returns (sender endpoint, receiver segment, collector, cleanup).
+func startTCPPair(t *testing.T) (Endpoint, *TCP, *collector, func()) {
 	t.Helper()
 	recv, err := NewTCP(TCPConfig{Listen: "127.0.0.1:0"})
 	if err != nil {
@@ -138,10 +140,7 @@ func startCodecPair(t *testing.T, codec Codec) (Endpoint, *TCP, *collector, func
 		recv.Close()
 		t.Fatal(err)
 	}
-	send, err := NewTCP(TCPConfig{
-		Peers: map[NodeID]string{"dst": recv.Addr()},
-		Codec: codec,
-	})
+	send, err := NewTCP(TCPConfig{Peers: map[NodeID]string{"dst": recv.Addr()}})
 	if err != nil {
 		recv.Close()
 		t.Fatal(err)
@@ -158,53 +157,82 @@ func startCodecPair(t *testing.T, codec Codec) (Endpoint, *TCP, *collector, func
 	}
 }
 
-// TestCrossCodecCompatibility checks that a gob-flagged sender and a
-// binary-default receiver (and vice versa) interoperate: serve dispatches
-// on the connection preamble, not on local configuration.
+// TestCrossCodecCompatibility sends a data frame and a control frame over
+// a real socket and checks both arrive intact and in order. The binary
+// codec is the only one left on the wire; its SHG1 gob counterpart is now
+// asserted dropped by TestUnknownPreambleConnectionDropped/gob-preamble.
 func TestCrossCodecCompatibility(t *testing.T) {
-	for _, codec := range []Codec{CodecBinary, CodecGob} {
-		t.Run("send-"+codec.String(), func(t *testing.T) {
-			src, _, c, cleanup := startCodecPair(t, codec)
-			defer cleanup()
-			want := []element.Element{{ID: 7, Origin: 1, Seq: 1, Payload: 64}}
-			if err := src.Send("dst", Message{Kind: KindData, Stream: "s", Elements: want}); err != nil {
-				t.Fatal(err)
-			}
-			if err := src.Send("dst", Message{Kind: KindControl, Stream: "ctl", Command: "activate", Seq: 2}); err != nil {
-				t.Fatal(err)
-			}
-			got := c.waitFor(t, 2)
-			if got[0].Elements[0] != want[0] || got[0].Stream != "s" {
-				t.Fatalf("data frame %+v", got[0])
-			}
-			if got[1].Command != "activate" || got[1].Seq != 2 {
-				t.Fatalf("control frame %+v", got[1])
-			}
-		})
-	}
+	t.Run("send-binary", func(t *testing.T) {
+		src, _, c, cleanup := startTCPPair(t)
+		defer cleanup()
+		want := []element.Element{{ID: 7, Origin: 1, Seq: 1, Payload: 64}}
+		if err := src.Send("dst", Message{Kind: KindData, Stream: "s", Elements: want}); err != nil {
+			t.Fatal(err)
+		}
+		if err := src.Send("dst", Message{Kind: KindControl, Stream: "ctl", Command: "activate", Seq: 2}); err != nil {
+			t.Fatal(err)
+		}
+		got := c.waitFor(t, 2)
+		if got[0].Elements[0] != want[0] || got[0].Stream != "s" {
+			t.Fatalf("data frame %+v", got[0])
+		}
+		if got[1].Command != "activate" || got[1].Seq != 2 {
+			t.Fatalf("control frame %+v", got[1])
+		}
+	})
 }
 
+// TestUnknownPreambleConnectionDropped opens raw connections that do not
+// start with the SHB1 preamble — junk, and the retired SHG1 gob preamble
+// followed by a real gob-encoded frame — and waits for the server to close
+// each socket. Nothing may be delivered.
 func TestUnknownPreambleConnectionDropped(t *testing.T) {
-	recv, err := NewTCP(TCPConfig{Listen: "127.0.0.1:0"})
-	if err != nil {
+	var gobFrame bytes.Buffer
+	gobFrame.WriteString("SHG1")
+	if err := gob.NewEncoder(&gobFrame).Encode(&tcpFrame{From: "src", To: "dst",
+		Msg: Message{Kind: KindData, Stream: "s", Elements: []element.Element{{ID: 1, Seq: 1}}}}); err != nil {
 		t.Fatal(err)
 	}
-	defer recv.Close()
-	var c collector
-	if _, err := recv.Register("dst", c.handle); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name    string
+		payload []byte
+	}{
+		{"junk", []byte("JUNKJUNKJUNK")},
+		{"gob-preamble", gobFrame.Bytes()},
 	}
-	conn, err := net.Dial("tcp", recv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if _, err := conn.Write([]byte("JUNKJUNKJUNK")); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(30 * time.Millisecond)
-	if c.count() != 0 {
-		t.Fatalf("junk connection delivered %d messages", c.count())
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			recv, err := NewTCP(TCPConfig{Listen: "127.0.0.1:0"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer recv.Close()
+			var c collector
+			if _, err := recv.Register("dst", c.handle); err != nil {
+				t.Fatal(err)
+			}
+			conn, err := net.Dial("tcp", recv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(tc.payload); err != nil {
+				t.Fatal(err)
+			}
+			// The server never writes, so Read returns only when it closes
+			// the socket: EOF, or a reset if it closed with bytes unread.
+			if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			_, err = conn.Read(make([]byte, 1))
+			var ne net.Error
+			if err == nil || errors.As(err, &ne) && ne.Timeout() {
+				t.Fatalf("server kept the connection open: Read = %v", err)
+			}
+			if c.count() != 0 {
+				t.Fatalf("dropped connection delivered %d messages", c.count())
+			}
+		})
 	}
 }
 
@@ -237,7 +265,7 @@ func TestStrictRoutes(t *testing.T) {
 }
 
 func TestWireCounters(t *testing.T) {
-	src, recv, c, cleanup := startCodecPair(t, CodecBinary)
+	src, recv, c, cleanup := startTCPPair(t)
 	defer cleanup()
 	const frames = 20
 	for i := 1; i <= frames; i++ {
@@ -355,7 +383,7 @@ func TestUnreachablePeerCountsDrops(t *testing.T) {
 // still queued for an unreachable peer.
 func TestTCPConnCloseWaitsForWriter(t *testing.T) {
 	var stats counters
-	c := newTCPConn("127.0.0.1:1", CodecBinary, &stats)
+	c := newTCPConn("127.0.0.1:1", &stats)
 	for i := 0; i < 50; i++ {
 		c.write(tcpFrame{From: "a", To: "b", Msg: Message{Kind: KindPing, Seq: uint64(i)}})
 	}
@@ -376,4 +404,36 @@ func TestTCPConnCloseWaitsForWriter(t *testing.T) {
 	}
 	// Idempotent second close must also return.
 	c.close()
+}
+
+// FuzzDecodeFrame runs the decoder that takes frame bytes from peers.
+// Oracles: no panic, and every frame that decodes re-encodes to bytes that
+// decode and re-encode to themselves (a fixed point; the input itself may
+// differ, e.g. in non-canonical varints or trailing bytes).
+func FuzzDecodeFrame(f *testing.F) {
+	msgs := codecTestMessages()
+	for i := range msgs {
+		f.Add(AppendFrame(nil, "sender-node", "receiver-node", &msgs[i]))
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		from, to, msg, n, err := DecodeFrame(b)
+		if err != nil {
+			return
+		}
+		if n <= 0 || n > len(b) {
+			t.Fatalf("consumed %d of %d bytes", n, len(b))
+		}
+		enc := AppendFrame(nil, from, to, &msg)
+		from2, to2, msg2, n2, err := DecodeFrame(enc)
+		if err != nil {
+			t.Fatalf("re-encoding does not decode: %v", err)
+		}
+		if n2 != len(enc) {
+			t.Fatalf("re-encoding consumed %d of %d bytes", n2, len(enc))
+		}
+		if again := AppendFrame(nil, from2, to2, &msg2); !bytes.Equal(again, enc) {
+			t.Fatalf("no fixed point:\n first %x\nsecond %x", enc, again)
+		}
+	})
 }
