@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -374,29 +375,35 @@ func TestDiskBackendCrashRecovery(t *testing.T) {
 // flakyBackend injects Put failures to test persist-before-ack.
 type flakyBackend struct {
 	Backend
-	fail bool
+	fail atomic.Bool
 }
 
 func (f *flakyBackend) Put(e CatalogEntry, payload []byte) error {
-	if f.fail {
+	if f.fail.Load() {
 		return errors.New("injected persist failure")
 	}
 	return f.Backend.Put(e, payload)
 }
 
-// TestStorePersistsBeforeAck wires a catalog-backed Store into the full
-// manager rig: a checkpoint is acknowledged only once the catalog holds
-// it, a persist failure withholds the acknowledgment and reports a chain
-// break, and the recovery full re-bases both memory and catalog.
-func TestStorePersistsBeforeAck(t *testing.T) {
+// catalogRig is the manager rig plus a catalog-backed Store over a flaky
+// backend, checkpointing a second runtime j/sj2 (the rig's default store
+// listens on j/sj, so the streams do not collide).
+type catalogRig struct {
+	*rig
+	fb    *flakyBackend
+	cat   *Catalog
+	store *Store
+	rt2   *subjob.Runtime
+	cm    *Checkpointer
+}
+
+func newCatalogRig(t *testing.T, rebaseEvery int) *catalogRig {
+	t.Helper()
 	r := newRig(t, InMemory)
 	fb := &flakyBackend{Backend: NewMemBackend()}
 	cat := NewCatalog(fb, Retention{})
 	store := NewStoreWith(r.secM, "j/sj2", StoreOptions{Catalog: cat})
 	t.Cleanup(store.Close)
-
-	// The rig's default store listens on j/sj; run a second runtime for
-	// j/sj2 so streams do not collide.
 	spec := r.rt.Spec()
 	spec.ID = "j/sj2"
 	rt2, err := subjob.New(spec, r.priM, false)
@@ -405,77 +412,132 @@ func TestStorePersistsBeforeAck(t *testing.T) {
 	}
 	rt2.Start()
 	t.Cleanup(rt2.Stop)
-	cm := NewSweeping(Config{Runtime: rt2, Clock: r.clk, Interval: time.Hour, StoreNode: r.secM.ID()})
-	breaks := make(chan struct{}, 8)
-	store.SetOnChainBreak(func() {
-		select {
-		case breaks <- struct{}{}:
-		default:
-		}
-	})
+	cm := NewSweeping(Config{Runtime: rt2, Clock: r.clk, Interval: time.Hour, StoreNode: r.secM.ID(), RebaseEvery: rebaseEvery})
 	cm.Start()
-	defer cm.Stop()
+	t.Cleanup(cm.Stop)
+	return &catalogRig{rig: r, fb: fb, cat: cat, store: store, rt2: rt2, cm: cm}
+}
 
-	feed := func(from, to uint64) {
-		t.Helper()
-		batch := make([]element.Element, 0, to-from+1)
-		for s := from; s <= to; s++ {
-			batch = append(batch, element.Element{ID: s, Seq: s, Payload: int64(s)})
-		}
-		r.upM.Send(r.priM.ID(), transport.Message{
-			Kind:     transport.KindData,
-			Stream:   subjob.DataStream("j/sj2", "in"),
-			Elements: batch,
-		})
-		deadline := time.Now().Add(2 * time.Second)
-		for time.Now().Before(deadline) {
-			if rt2.PEs()[0].Processed() >= to {
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-		t.Fatalf("feed: processed %d, want %d", rt2.PEs()[0].Processed(), to)
+// feed delivers elements from..to to j/sj2 and waits until processed.
+func (c *catalogRig) feed(t *testing.T, from, to uint64) {
+	t.Helper()
+	batch := make([]element.Element, 0, to-from+1)
+	for s := from; s <= to; s++ {
+		batch = append(batch, element.Element{ID: s, Seq: s, Payload: int64(s)})
 	}
+	c.upM.Send(c.priM.ID(), transport.Message{
+		Kind:     transport.KindData,
+		Stream:   subjob.DataStream("j/sj2", "in"),
+		Elements: batch,
+	})
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) {
+		if c.rt2.PEs()[0].Processed() >= to {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("feed: processed %d, want %d", c.rt2.PEs()[0].Processed(), to)
+}
 
-	feed(1, 5)
-	cm.CheckpointNow()
-	r.expectAck(t, 5)
-	if head, ok, _ := cat.Head("j/sj2"); !ok || head != 1 {
+// expectNoAck asserts that no upstream acknowledgment arrives.
+func (c *catalogRig) expectNoAck(t *testing.T, why string) {
+	t.Helper()
+	select {
+	case seq := <-c.acks:
+		t.Fatalf("acked %d though %s", seq, why)
+	case <-time.After(100 * time.Millisecond):
+	}
+}
+
+// TestStorePersistsBeforeAck wires a catalog-backed Store into the full
+// manager rig: a checkpoint is acknowledged only once the catalog holds
+// it, a persist failure withholds the acknowledgment, and the next full
+// re-bases both memory and catalog.
+func TestStorePersistsBeforeAck(t *testing.T) {
+	c := newCatalogRig(t, 0)
+
+	c.feed(t, 1, 5)
+	c.cm.CheckpointNow()
+	c.expectAck(t, 5)
+	if head, ok, _ := c.cat.Head("j/sj2"); !ok || head != 1 {
 		t.Fatalf("catalog head %d after first checkpoint", head)
 	}
 
-	// Persist failures must withhold acknowledgments and flag the chain.
-	fb.fail = true
-	feed(6, 9)
-	cm.CheckpointNow()
-	select {
-	case seq := <-r.acks:
-		t.Fatalf("acked %d though persist failed", seq)
-	case <-time.After(100 * time.Millisecond):
-	}
-	select {
-	case <-breaks:
-	case <-time.After(2 * time.Second):
-		t.Fatal("persist failure did not report a chain break")
-	}
-	if st := store.Stats(); st.PersistErrors == 0 || st.DurableSeq != 1 {
+	// Persist failures must withhold acknowledgments.
+	c.fb.fail.Store(true)
+	c.feed(t, 6, 9)
+	c.cm.CheckpointNow()
+	c.expectNoAck(t, "persist failed")
+	if st := c.store.Stats(); st.PersistErrors == 0 || st.DurableSeq != 1 {
 		t.Fatalf("stats after failure: %+v", st)
 	}
 
 	// Recovery: the next full re-bases memory and catalog; the pending
 	// acknowledgment is subsumed by the newer one.
-	fb.fail = false
-	cm.ForceFull()
-	feed(10, 12)
-	cm.CheckpointNow()
-	r.expectAck(t, 12)
-	head, ok, _ := cat.Head("j/sj2")
+	c.fb.fail.Store(false)
+	c.feed(t, 10, 12)
+	c.cm.CheckpointNow()
+	c.expectAck(t, 12)
+	head, ok, _ := c.cat.Head("j/sj2")
 	if !ok || head < 3 {
 		t.Fatalf("catalog head %d after recovery", head)
 	}
-	snap, _, err := cat.Restore("j/sj2", 0)
+	snap, _, err := c.cat.Restore("j/sj2", 0)
 	if err != nil || snap.Consumed["in"] != 12 {
 		t.Fatalf("catalog restore after recovery: consumed %v err %v", snap.Consumed, err)
+	}
+}
+
+// TestStorePersistGapWithholdsAck: under incremental checkpointing a
+// failed persist leaves the in-memory chain ahead of the catalog. A later
+// delta extends the in-memory chain but not the cataloged one, so it
+// must be neither persisted nor acknowledged — acknowledging it would
+// let upstream trim data a cold restart cannot restore. The ack stays
+// withheld until the manager's cadence ships a full, and at every step
+// the durable watermark stays at or below the catalog's head.
+func TestStorePersistGapWithholdsAck(t *testing.T) {
+	c := newCatalogRig(t, 4)
+	checkDurable := func(step string, wantHead uint64) {
+		t.Helper()
+		st := c.store.Stats()
+		head, _, err := c.cat.Head("j/sj2")
+		if err != nil || head != wantHead || st.DurableSeq > head {
+			t.Fatalf("%s: catalog head %d (want %d), durable seq %d, err %v", step, head, wantHead, st.DurableSeq, err)
+		}
+	}
+
+	c.feed(t, 1, 5)
+	c.cm.CheckpointNow() // seq 1: full
+	c.expectAck(t, 5)
+	checkDurable("first full", 1)
+
+	c.fb.fail.Store(true)
+	c.feed(t, 6, 9)
+	c.cm.CheckpointNow() // seq 2: delta onto 1, persist fails
+	c.expectNoAck(t, "persist failed")
+	checkDurable("failed delta", 1)
+
+	c.fb.fail.Store(false)
+	c.feed(t, 10, 12)
+	c.cm.CheckpointNow() // seq 3: delta onto 2, which the catalog lacks
+	c.expectNoAck(t, "its predecessor never reached the catalog")
+	checkDurable("delta past the gap", 1)
+	c.feed(t, 13, 14)
+	c.cm.CheckpointNow() // seq 4: last delta before the cadence rebase
+	c.expectNoAck(t, "the catalog gap is still open")
+	checkDurable("second delta past the gap", 1)
+
+	c.feed(t, 15, 16)
+	c.cm.CheckpointNow() // seq 5: cadence full heals the gap
+	c.expectAck(t, 16)
+	checkDurable("rebase", 5)
+	snap, _, err := c.cat.Restore("j/sj2", 0)
+	if err != nil || snap.Consumed["in"] != 16 {
+		t.Fatalf("catalog restore after rebase: consumed %v err %v", snap.Consumed, err)
+	}
+	if st := c.cm.Stats(); st.Fulls != 2 || st.Deltas != 3 {
+		t.Fatalf("manager shipped %d fulls and %d deltas, want 2 and 3", st.Fulls, st.Deltas)
 	}
 }
 

@@ -265,14 +265,28 @@ func TestStoreOutOfOrderBatch(t *testing.T) {
 	h := newStoreHarness(t)
 	base := make([]byte, 8)
 
-	// Stall the store's worker behind a first message so the next three
-	// coalesce into one batch. Sending is async; just fire them
-	// back-to-back — the single worker drains them together more often
-	// than not, and the protocol must be correct either way.
-	h.send(t, 1, encFull(t, 1, base))
-	h.send(t, 3, encDelta(t, 2, 3, 8, 0, []byte{0x33}))
-	h.send(t, 2, encFull(t, 2, base))
-	h.send(t, 4, encDelta(t, 3, 4, 8, 1, []byte{0x44}))
+	// Hand the backlog to the batch fold directly: sent one by one, the
+	// worker may take delta 3 before full 2 in a batch of its own, and
+	// then drops it unacknowledged by design (it does not extend the
+	// chain), so only a single batch pins the coalescing path.
+	var batch []storeReq
+	for _, m := range []struct {
+		seq   uint64
+		state []byte
+	}{
+		{1, encFull(t, 1, base)},
+		{3, encDelta(t, 2, 3, 8, 0, []byte{0x33})},
+		{2, encFull(t, 2, base)},
+		{4, encDelta(t, 3, 4, 8, 1, []byte{0x44})},
+	} {
+		batch = append(batch, storeReq{from: h.pri.ID(), msg: transport.Message{
+			Kind:   transport.KindCheckpoint,
+			Stream: subjob.CkptStream("j/sj"),
+			Seq:    m.seq,
+			State:  m.state,
+		}})
+	}
+	h.store.store(batch)
 
 	got := map[uint64]bool{}
 	for i := 0; i < 4; i++ {

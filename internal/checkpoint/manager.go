@@ -86,15 +86,6 @@ type Config struct {
 	// RebaseEvery-1 delta checkpoints are taken between full snapshots.
 	// 0 or 1 captures a full snapshot every time (the classic protocol).
 	RebaseEvery int
-	// RebaseAdaptive enables the byte-budget rebase policy: deltas keep
-	// shipping until their cumulative size since the last full snapshot
-	// exceeds that snapshot's size, then the manager rebases. It turns on
-	// incremental checkpointing by itself; RebaseEvery remains a manual
-	// cadence cap when both are set.
-	RebaseAdaptive bool
-	// MaxInFlight bounds captured-but-unshipped checkpoints; the capture
-	// path blocks once the bound is reached. Default 2.
-	MaxInFlight int
 	// SeqBase seeds the checkpoint sequence counter. A cold restart that
 	// restored catalog sequence N passes N here so new checkpoints continue
 	// the chain at N+1 instead of colliding with cataloged history. The
@@ -105,7 +96,7 @@ type Config struct {
 	// approx standby policy): after an initial full snapshot every sweep
 	// captures an unchained partial frame — hot state ranges only, no
 	// output queue, no pipes — instead of a full or chained delta.
-	// ForceFull/Resume still force the next capture full.
+	// Resume still forces the next capture full.
 	Partial bool
 }
 
@@ -119,10 +110,6 @@ type Manager interface {
 	// returning the time the pause lasted. Used by recovery paths and
 	// benchmarks. The encode and ship happen on the background shipper.
 	CheckpointNow() time.Duration
-	// ForceFull makes the next checkpoint a full snapshot regardless of
-	// the incremental cadence — the rebase a standby-side store requests
-	// after reporting a broken delta chain.
-	ForceFull()
 	// Pause suspends checkpointing. A live rescaling pauses the donor's
 	// manager while it drives its own CaptureFull/CaptureDelta chain over
 	// the same runtime — an interleaved manager capture would reset the
@@ -329,33 +316,14 @@ func (c *Checkpointer) scope(i int) subjob.DeltaOptions {
 	}
 }
 
-// adaptivePendingLimit bounds the pending-ack window under the purely
-// adaptive rebase policy (no manual cadence to derive a bound from).
-const adaptivePendingLimit = 8
-
 // wantDeltaLocked decides whether the next checkpoint may be incremental:
-// rebasing is on (manual cadence or adaptive byte budget), a full baseline
-// exists, the manual cadence has not come due, and the store is keeping up
-// (a growing pending window means deltas are being dropped — likely an
-// unfoldable chain — so rebase with a full). The adaptive policy's byte
-// check lives on the shipper (see shipper.rebaseDue), which the callers
-// consult after this.
+// rebasing is on, a full baseline exists, the cadence has not come due,
+// and the store is keeping up (a growing pending window means deltas are
+// being dropped or withheld — an unfoldable chain or a catalog gap — so
+// rebase with a full).
 func wantDeltaLocked(cfg *Config, sinceFull int, lastOutNext uint64, pending int) bool {
-	if lastOutNext == 0 {
-		return false
-	}
-	manual := cfg.RebaseEvery >= 2
-	if !manual && !cfg.RebaseAdaptive {
-		return false
-	}
-	if manual && sinceFull >= cfg.RebaseEvery-1 {
-		return false
-	}
-	limit := adaptivePendingLimit
-	if manual {
-		limit = cfg.RebaseEvery * 2
-	}
-	return pending <= limit
+	return cfg.RebaseEvery >= 2 && lastOutNext != 0 &&
+		sinceFull < cfg.RebaseEvery-1 && pending <= cfg.RebaseEvery*2
 }
 
 // CheckpointNow implements Manager. The upstream acknowledgment is
@@ -392,10 +360,7 @@ func (c *Checkpointer) checkpoint(i int) time.Duration {
 	sc := c.scope(i)
 	sc.OutputSince = c.lastOutNext
 	c.mu.Unlock()
-	if tryDelta && c.cfg.RebaseAdaptive && c.ship.rebaseDue() {
-		tryDelta = false
-	}
-	incremental := c.cfg.RebaseEvery >= 2 || c.cfg.RebaseAdaptive
+	incremental := c.cfg.RebaseEvery >= 2
 
 	start := c.cfg.Clock.Now()
 	var snap *subjob.Snapshot
@@ -525,13 +490,6 @@ func (c *Checkpointer) onStoreAck(_ transport.NodeID, msg transport.Message) {
 	if ok {
 		c.cfg.Runtime.AckUpstream(positions)
 	}
-}
-
-// ForceFull implements Manager.
-func (c *Checkpointer) ForceFull() {
-	c.mu.Lock()
-	c.fullNext = true
-	c.mu.Unlock()
 }
 
 // Pause implements Manager. Taking capMu waits out any in-flight capture,

@@ -50,22 +50,12 @@ type shipper struct {
 	bytesPartial int64
 	encodeTotal  time.Duration
 	shipTotal    time.Duration
-
-	// lastFullBytes and deltaSinceFull drive the adaptive rebase policy:
-	// once the deltas shipped since the last full snapshot outweigh that
-	// snapshot, rebasing is cheaper than letting the chain grow.
-	lastFullBytes  int64
-	deltaSinceFull int64
 }
 
 func newShipper(cfg Config) *shipper {
-	depth := cfg.MaxInFlight
-	if depth <= 0 {
-		depth = defaultMaxInFlight
-	}
 	return &shipper{
 		cfg:  cfg,
-		jobs: make(chan shipJob, depth),
+		jobs: make(chan shipJob, defaultMaxInFlight),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -149,30 +139,16 @@ func (sh *shipper) process(j shipJob) {
 	case j.snap != nil:
 		sh.fulls++
 		sh.bytesFull += int64(len(state))
-		sh.lastFullBytes = int64(len(state))
-		sh.deltaSinceFull = 0
 	case j.part != nil:
 		sh.partials++
 		sh.bytesPartial += int64(len(state))
 	default:
 		sh.deltas++
 		sh.bytesDelta += int64(len(state))
-		sh.deltaSinceFull += int64(len(state))
 	}
 	sh.encodeTotal += encodeDur
 	sh.shipTotal += shipDur
 	sh.mu.Unlock()
-}
-
-// rebaseDue reports whether the adaptive rebase budget is exhausted: the
-// cumulative delta bytes shipped since the last full snapshot have reached
-// that snapshot's size. The decision trails the capture path by whatever
-// is queued on the shipper (at most MaxInFlight deltas), which only delays
-// the rebase by that many checkpoints.
-func (sh *shipper) rebaseDue() bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.lastFullBytes > 0 && sh.deltaSinceFull >= sh.lastFullBytes
 }
 
 // statsInto merges the shipper's encode/ship timings and full-vs-delta

@@ -58,7 +58,6 @@ type Store struct {
 	deltaFolds   int
 	deltaDrops   int
 	lastUnits    int
-	onChainBreak func()
 	work         chan storeReq
 	stop         chan struct{}
 	done         chan struct{}
@@ -214,22 +213,23 @@ func (s *Store) store(batch []storeReq) {
 	// toPersist records, in chain order, the raw payload of every
 	// checkpoint that advances the in-memory chain; with a catalog
 	// attached these must become durable before their acknowledgments go
-	// out.
+	// out. prev is a delta's predecessor; a full has none (full set).
 	type persistItem struct {
 		seq     uint64
+		prev    uint64
+		full    bool
 		units   int
 		payload []byte
 	}
 	var toPersist []persistItem
 
 	s.mu.Lock()
-	dropsBefore := s.deltaDrops
 	if newFull != nil {
 		s.latest = newFull
 		chain = baseSeq
 		s.fulls++
 		if s.catalog != nil {
-			toPersist = append(toPersist, persistItem{baseSeq, newFull.ElementUnits(), batch[fullIdx].msg.State})
+			toPersist = append(toPersist, persistItem{seq: baseSeq, full: true, units: newFull.ElementUnits(), payload: batch[fullIdx].msg.State})
 		}
 	}
 	for _, sd := range deltas {
@@ -248,11 +248,9 @@ func (s *Store) store(batch []storeReq) {
 		chain = sd.seq
 		s.deltaFolds++
 		if s.catalog != nil {
-			toPersist = append(toPersist, persistItem{sd.seq, units, payload})
+			toPersist = append(toPersist, persistItem{seq: sd.seq, prev: sd.d.PrevSeq, units: units, payload: payload})
 		}
 	}
-	dropped := s.deltaDrops > dropsBefore
-	onChainBreak := s.onChainBreak
 	advanced := chain > s.seq
 	s.seq = chain
 	if advanced && s.latest != nil {
@@ -262,16 +260,21 @@ func (s *Store) store(batch []storeReq) {
 	s.mu.Unlock()
 
 	// Persist-before-ack: advance the durable watermark through the folded
-	// chain in order. The first failed write stops it — the in-memory
-	// image is ahead of the catalog then, acknowledgments are withheld at
-	// the durable watermark, and the chain break forces the manager's next
-	// checkpoint full, which re-bases the catalog and self-heals the gap.
-	persistFailed := false
+	// chain in order. A delta is persisted only when it extends the
+	// durable watermark: after a failed write the in-memory chain runs
+	// ahead of the catalog, and a later delta whose predecessor never
+	// became durable would leave a hole the catalog cannot restore
+	// across. The first failed write or gap stops the walk, so
+	// acknowledgments are withheld at the durable watermark (never above
+	// the catalog's head) until the manager's cadence or pending-window
+	// rebase ships a full, which re-bases the catalog and heals the gap.
 	ackCeil := chain
 	if s.catalog != nil {
 		for _, it := range toPersist {
+			if !it.full && it.prev != durable {
+				break
+			}
 			if err := s.catalog.Put(s.catKey, it.seq, it.units, it.payload); err != nil {
-				persistFailed = true
 				break
 			}
 			durable = it.seq
@@ -293,10 +296,6 @@ func (s *Store) store(batch []storeReq) {
 	s.mu.Lock()
 	s.stored += accepted
 	s.mu.Unlock()
-
-	if (dropped || persistFailed) && onChainBreak != nil {
-		onChainBreak()
-	}
 
 	for i := range batch {
 		if batch[i].msg.Seq > ackCeil {
@@ -328,16 +327,6 @@ func (s *Store) Latest() (*subjob.Snapshot, bool) {
 		return nil, false
 	}
 	return s.latest.Clone(), true
-}
-
-// SetOnChainBreak installs a callback invoked (from the store goroutine)
-// whenever a delta is dropped because it did not extend the chain. The HA
-// lifecycle uses it to force the manager's next checkpoint full instead of
-// waiting for the pending-window heuristic.
-func (s *Store) SetOnChainBreak(fn func()) {
-	s.mu.Lock()
-	s.onChainBreak = fn
-	s.mu.Unlock()
 }
 
 // Stored returns the number of checkpoints accepted (acknowledged).

@@ -36,11 +36,11 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.MissThreshold != 1 {
 		t.Fatalf("hybrid default miss threshold %d, want 1 (first-miss trigger)", o.MissThreshold)
 	}
-	if o.HeartbeatInterval <= 0 || o.CheckpointInterval <= 0 || o.ResumeCost <= 0 {
+	if o.HeartbeatInterval <= 0 || o.CheckpointInterval <= 0 {
 		t.Fatal("intervals not defaulted")
 	}
-	if o.ResumeCost*3 > o.DeployCost {
-		t.Fatalf("resume (%v) should be about a quarter of deploy (%v)", o.ResumeCost, o.DeployCost)
+	if resumeCost*3 > deployCost {
+		t.Fatalf("resume (%v) should be about a quarter of deploy (%v)", resumeCost, deployCost)
 	}
 	keep := Options{MissThreshold: 3, HeartbeatInterval: time.Second}.withDefaults()
 	if keep.MissThreshold != 3 || keep.HeartbeatInterval != time.Second {
@@ -167,18 +167,52 @@ func TestStandbyStoreSkipsWhileActive(t *testing.T) {
 	}
 }
 
+// TestStandbyStoreIgnoresGarbage: payloads the standby does not take —
+// bytes that are no checkpoint, and an incremental (SHD2) delta, which the
+// standby never folds — are neither applied nor acknowledged.
 func TestStandbyStoreIgnoresGarbage(t *testing.T) {
-	r := newStandbyRig(t)
-	store := NewStandbyStore(r.sec)
-	defer store.Close()
-	r.priM.Send(r.secM.ID(), transport.Message{
-		Kind:   transport.KindCheckpoint,
-		Stream: subjob.CkptStream("j/sj"),
-		Seq:    1,
-		State:  []byte("not a snapshot"),
-	})
-	time.Sleep(20 * time.Millisecond)
-	if store.Applied() != 0 {
-		t.Fatal("garbage applied")
+	delta, err := (&subjob.Delta{
+		SubjobID: "j/sj",
+		PrevSeq:  0,
+		Consumed: map[string]uint64{"in": 7},
+		PEDeltas: [][]byte{nil},
+		PEFull:   [][]byte{(&pe.CounterLogic{Pad: 1}).Snapshot()},
+	}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"not a checkpoint", []byte("not a snapshot")},
+		{"SHD2 delta", delta},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newStandbyRig(t)
+			store := NewStandbyStore(r.sec)
+			defer store.Close()
+			acks := make(chan uint64, 1)
+			r.priM.RegisterStream(subjob.CkptAckStream("j/sj"), func(_ transport.NodeID, msg transport.Message) {
+				acks <- msg.Seq
+			})
+			r.priM.Send(r.secM.ID(), transport.Message{
+				Kind:   transport.KindCheckpoint,
+				Stream: subjob.CkptStream("j/sj"),
+				Seq:    1,
+				State:  tc.payload,
+			})
+			select {
+			case seq := <-acks:
+				t.Fatalf("acknowledged %d", seq)
+			case <-time.After(50 * time.Millisecond):
+			}
+			if store.Applied() != 0 || store.Skipped() != 0 {
+				t.Fatalf("applied=%d skipped=%d, want 0 and 0", store.Applied(), store.Skipped())
+			}
+			if got := r.sec.ConsumedPositions()["in"]; got != 0 {
+				t.Fatalf("standby position %d, want 0", got)
+			}
+		})
 	}
 }

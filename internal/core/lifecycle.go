@@ -63,7 +63,7 @@ func (s State) String() string {
 }
 
 // EventKind is a lifecycle input: the detector's verdicts, the fail-stop
-// timer, a checkpoint-chain break reported by the standby side, and stop.
+// timer, the re-arm health check, and stop.
 type EventKind int
 
 const (
@@ -73,9 +73,6 @@ const (
 	EventRecovery
 	// EventPromoteTimer: the failure outlasted the fail-stop threshold.
 	EventPromoteTimer
-	// EventChainBreak: the standby side dropped an incremental checkpoint
-	// that did not extend its state chain; the manager must rebase.
-	EventChainBreak
 	// EventRearm: the periodic protection health check (armed only when a
 	// Placer is configured): from Unprotected it asks the scheduler for a
 	// replacement standby host; from Protected it verifies the standby
@@ -93,8 +90,6 @@ func (e EventKind) String() string {
 		return "recovery"
 	case EventPromoteTimer:
 		return "promote_timer"
-	case EventChainBreak:
-		return "chain_break"
 	case EventRearm:
 		return "rearm"
 	case EventStop:
@@ -117,8 +112,6 @@ const (
 	actRestore
 	// actPromote runs the policy's fail-stop promotion.
 	actPromote
-	// actRebase forces the next checkpoint to be a full snapshot.
-	actRebase
 	// actRearm runs the policy's scheduler-backed protection repair.
 	actRearm
 	// actShutdown ends the event loop.
@@ -137,7 +130,6 @@ var transitionTable = map[State]map[EventKind]action{
 		EventMiss:         actFailover,
 		EventRecovery:     actIgnore,
 		EventPromoteTimer: actIgnore,
-		EventChainBreak:   actRebase,
 		EventRearm:        actRearm,
 		EventStop:         actShutdown,
 	},
@@ -145,7 +137,6 @@ var transitionTable = map[State]map[EventKind]action{
 		EventMiss:         actIgnore,
 		EventRecovery:     actRestore,
 		EventPromoteTimer: actPromote,
-		EventChainBreak:   actRebase,
 		EventRearm:        actIgnore,
 		EventStop:         actShutdown,
 	},
@@ -153,7 +144,6 @@ var transitionTable = map[State]map[EventKind]action{
 		EventMiss:         actIgnore,
 		EventRecovery:     actIgnore,
 		EventPromoteTimer: actIgnore,
-		EventChainBreak:   actRebase,
 		EventRearm:        actIgnore,
 		EventStop:         actShutdown,
 	},
@@ -161,7 +151,6 @@ var transitionTable = map[State]map[EventKind]action{
 		EventMiss:         actIgnore,
 		EventRecovery:     actIgnore,
 		EventPromoteTimer: actIgnore,
-		EventChainBreak:   actRebase,
 		EventRearm:        actIgnore,
 		EventStop:         actShutdown,
 	},
@@ -169,7 +158,6 @@ var transitionTable = map[State]map[EventKind]action{
 		EventMiss:         actIgnore,
 		EventRecovery:     actIgnore,
 		EventPromoteTimer: actIgnore,
-		EventChainBreak:   actRebase,
 		EventRearm:        actIgnore,
 		EventStop:         actShutdown,
 	},
@@ -177,7 +165,6 @@ var transitionTable = map[State]map[EventKind]action{
 		EventMiss:         actIgnore,
 		EventRecovery:     actIgnore,
 		EventPromoteTimer: actIgnore,
-		EventChainBreak:   actIgnore,
 		EventRearm:        actRearm,
 		EventStop:         actShutdown,
 	},
@@ -256,13 +243,6 @@ type LifecycleConfig struct {
 	Wiring Wiring
 	// Policy is the HA mode.
 	Policy StandbyPolicy
-	// Catalog is the durable checkpoint catalog used by RestoreFromCatalog
-	// and, independently, by policies whose options carry the same catalog
-	// for persist-before-ack storage.
-	Catalog *checkpoint.Catalog
-	// RestoreFromCatalog rewinds the primary to the catalog's head chain
-	// before the policy arms — the cold-restart path. Requires Catalog.
-	RestoreFromCatalog bool
 	// Placer, when non-nil, is the cluster scheduler the lifecycle asks for
 	// replacement standby hosts: after a fail-stop promotion exhausts the
 	// static spare, and from the periodic re-arm health check. Nil keeps
@@ -282,7 +262,7 @@ type lcEvent struct {
 
 // Lifecycle drives one subjob's HA protocol: a single event loop applies
 // the transition table to detector callbacks, the fail-stop timer and
-// chain-break reports, delegating the actual work to the configured
+// the re-arm health check, delegating the actual work to the configured
 // StandbyPolicy and recording every transition.
 type Lifecycle struct {
 	cfg LifecycleConfig
@@ -307,8 +287,6 @@ type Lifecycle struct {
 	rollbacks   []RollbackEvent
 	promotions  []PromoteEvent
 	rearms      []RearmEvent
-	chainBreaks int
-	restoredSeq uint64 // catalog sequence a cold restart restored, 0 otherwise
 	started     bool
 
 	events  chan lcEvent
@@ -355,12 +333,6 @@ func (lc *Lifecycle) Start() error {
 		lc.mu.Unlock()
 	}
 
-	if lc.cfg.RestoreFromCatalog {
-		if err := lc.restoreFromCatalog(); err != nil {
-			unstart()
-			return err
-		}
-	}
 	if err := lc.pol.Arm(lc); err != nil {
 		unstart()
 		return err
@@ -431,16 +403,6 @@ func (lc *Lifecycle) dispatch(ev lcEvent, promote *<-chan time.Time) bool {
 			to := r.Rearm(lc, ev.at)
 			lc.settle(ev, from, to)
 		}
-	case actRebase:
-		if cm := lc.Checkpoint(); cm != nil {
-			cm.ForceFull()
-		}
-		lc.mu.Lock()
-		lc.chainBreaks++
-		lc.transitions = append(lc.transitions, Transition{
-			At: ev.at, Event: ev.kind, From: from, Via: stateNone, To: from,
-		})
-		lc.mu.Unlock()
 	case actShutdown:
 		return true
 	}
@@ -474,7 +436,7 @@ func (lc *Lifecycle) transient(s State) {
 	lc.mu.Unlock()
 }
 
-// post enqueues an event from a detector or store callback.
+// post enqueues an event from a detector callback.
 func (lc *Lifecycle) post(kind EventKind, at time.Time) {
 	select {
 	case lc.events <- lcEvent{kind: kind, at: at}:
@@ -486,7 +448,7 @@ func (lc *Lifecycle) post(kind EventKind, at time.Time) {
 // always registered — callbacks are local to the monitor, so an event the
 // table ignores costs nothing and sends nothing.
 func (lc *Lifecycle) startDetector(monitor *machine.Machine, target transport.NodeID,
-	session string, interval time.Duration, miss, recover int) {
+	session string, interval time.Duration, miss int) {
 	det := detect.NewHeartbeat(detect.HeartbeatConfig{
 		Monitor:          monitor,
 		Clock:            lc.clk,
@@ -494,7 +456,7 @@ func (lc *Lifecycle) startDetector(monitor *machine.Machine, target transport.No
 		Session:          session,
 		Interval:         interval,
 		MissThreshold:    miss,
-		RecoverThreshold: recover,
+		RecoverThreshold: recoverThreshold,
 		OnFailure:        func(at time.Time) { lc.post(EventMiss, at) },
 		OnRecovery:       func(at time.Time) { lc.post(EventRecovery, at) },
 	})
@@ -503,55 +465,6 @@ func (lc *Lifecycle) startDetector(monitor *machine.Machine, target transport.No
 	lc.mu.Unlock()
 	det.Start()
 }
-
-// restoreFromCatalog is the cold-restart path: fold the catalog's head
-// chain into a snapshot and rewind the primary to it before the policy
-// arms. Restore aligns the input queue's dedup floor with the restored
-// consumed positions, so the upstream resync that follows — a forced
-// replay of everything past the last acknowledgment — is absorbed
-// exactly once: elements the snapshot already covers are deduplicated,
-// elements lost with the dead process are reprocessed.
-func (lc *Lifecycle) restoreFromCatalog() error {
-	if lc.cfg.Catalog == nil {
-		return fmt.Errorf("core: RestoreFromCatalog without a catalog")
-	}
-	snap, seq, err := lc.cfg.Catalog.Restore(lc.cfg.Spec.ID, 0)
-	if err != nil {
-		return err
-	}
-	pri := lc.PrimaryRuntime()
-	var rerr error
-	pri.WithPaused(func() { rerr = pri.Restore(snap) })
-	if rerr != nil {
-		return rerr
-	}
-	// The restored output queue holds what downstream had not acknowledged
-	// at checkpoint time; push it again rather than waiting for a timeout.
-	pri.Out().RetransmitAll()
-	if ups := lc.cfg.Wiring.UpstreamOutputs; ups != nil {
-		for _, up := range ups() {
-			up.Resync(pri.Node())
-		}
-	}
-	lc.mu.Lock()
-	lc.restoredSeq = seq
-	lc.mu.Unlock()
-	return nil
-}
-
-// seqBase is the checkpoint sequence managers continue from: the catalog
-// sequence a cold restart restored, zero on a fresh start. Policies pass
-// it to every checkpoint manager they create so new checkpoints extend the
-// cataloged chain instead of colliding with it.
-func (lc *Lifecycle) seqBase() uint64 {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	return lc.restoredSeq
-}
-
-// RestoredSeq returns the catalog sequence the lifecycle restored at
-// start, or 0 when it started fresh.
-func (lc *Lifecycle) RestoredSeq() uint64 { return lc.seqBase() }
 
 // upPart returns the partition-instance index this subjob's copies consume
 // from upstream outputs: the configured instance index for a keyed-parallel
@@ -607,21 +520,6 @@ func (lc *Lifecycle) registerReadStateAck(m *machine.Machine) {
 		default:
 		}
 	})
-}
-
-// watchChainBreaks makes the standby-side stores report unfoldable deltas
-// to the event loop, which forces the manager's next checkpoint full.
-func (lc *Lifecycle) watchChainBreaks() {
-	report := func() { lc.post(EventChainBreak, lc.clk.Now()) }
-	lc.mu.Lock()
-	standby, store := lc.standby, lc.store
-	lc.mu.Unlock()
-	if standby != nil {
-		standby.SetOnChainBreak(report)
-	}
-	if store != nil {
-		store.SetOnChainBreak(report)
-	}
 }
 
 // Stop halts the event loop and tears down everything the lifecycle owns:
@@ -765,13 +663,6 @@ func (lc *Lifecycle) Transitions() []Transition {
 	return append([]Transition(nil), lc.transitions...)
 }
 
-// ChainBreaks returns how many checkpoint-chain breaks were reported.
-func (lc *Lifecycle) ChainBreaks() int {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	return lc.chainBreaks
-}
-
 // Detector returns the current heartbeat detector, or nil.
 func (lc *Lifecycle) Detector() *detect.Heartbeat {
 	lc.mu.Lock()
@@ -852,7 +743,6 @@ type LifecycleStats struct {
 	Migrations  int      `json:"migrations"`
 	Promotions  int      `json:"promotions"`
 	Rearms      int      `json:"rearms"`
-	ChainBreaks int      `json:"chain_breaks"`
 	Transitions []string `json:"transitions"`
 }
 
@@ -870,7 +760,6 @@ func (lc *Lifecycle) Stats() LifecycleStats {
 		Migrations:  len(lc.migrations),
 		Promotions:  len(lc.promotions),
 		Rearms:      len(lc.rearms),
-		ChainBreaks: lc.chainBreaks,
 		Transitions: make([]string, len(lc.transitions)),
 	}
 	for i, tr := range lc.transitions {

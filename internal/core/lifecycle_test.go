@@ -20,14 +20,13 @@ import (
 // and to the table — fails the test.
 func TestLifecycleTransitionTableExhaustive(t *testing.T) {
 	allStates := []State{Protected, SwitchedOver, RollingBack, Migrating, Promoted, Unprotected}
-	allEvents := []EventKind{EventMiss, EventRecovery, EventPromoteTimer, EventChainBreak, EventRearm, EventStop}
+	allEvents := []EventKind{EventMiss, EventRecovery, EventPromoteTimer, EventRearm, EventStop}
 
 	want := map[State]map[EventKind]action{
 		Protected: {
 			EventMiss:         actFailover,
 			EventRecovery:     actIgnore,
 			EventPromoteTimer: actIgnore,
-			EventChainBreak:   actRebase,
 			EventRearm:        actRearm,
 			EventStop:         actShutdown,
 		},
@@ -35,7 +34,6 @@ func TestLifecycleTransitionTableExhaustive(t *testing.T) {
 			EventMiss:         actIgnore,
 			EventRecovery:     actRestore,
 			EventPromoteTimer: actPromote,
-			EventChainBreak:   actRebase,
 			EventRearm:        actIgnore,
 			EventStop:         actShutdown,
 		},
@@ -43,7 +41,6 @@ func TestLifecycleTransitionTableExhaustive(t *testing.T) {
 			EventMiss:         actIgnore,
 			EventRecovery:     actIgnore,
 			EventPromoteTimer: actIgnore,
-			EventChainBreak:   actRebase,
 			EventRearm:        actIgnore,
 			EventStop:         actShutdown,
 		},
@@ -51,7 +48,6 @@ func TestLifecycleTransitionTableExhaustive(t *testing.T) {
 			EventMiss:         actIgnore,
 			EventRecovery:     actIgnore,
 			EventPromoteTimer: actIgnore,
-			EventChainBreak:   actRebase,
 			EventRearm:        actIgnore,
 			EventStop:         actShutdown,
 		},
@@ -59,7 +55,6 @@ func TestLifecycleTransitionTableExhaustive(t *testing.T) {
 			EventMiss:         actIgnore,
 			EventRecovery:     actIgnore,
 			EventPromoteTimer: actIgnore,
-			EventChainBreak:   actRebase,
 			EventRearm:        actIgnore,
 			EventStop:         actShutdown,
 		},
@@ -67,7 +62,6 @@ func TestLifecycleTransitionTableExhaustive(t *testing.T) {
 			EventMiss:         actIgnore,
 			EventRecovery:     actIgnore,
 			EventPromoteTimer: actIgnore,
-			EventChainBreak:   actIgnore,
 			EventRearm:        actRearm,
 			EventStop:         actShutdown,
 		},
@@ -117,7 +111,6 @@ func TestLifecycleStateAndEventStrings(t *testing.T) {
 		EventMiss:         "miss",
 		EventRecovery:     "recovery",
 		EventPromoteTimer: "promote_timer",
-		EventChainBreak:   "chain_break",
 		EventRearm:        "rearm",
 		EventStop:         "stop",
 	}
@@ -259,23 +252,13 @@ func TestLifecycleEventLoopRecordsTransitions(t *testing.T) {
 	lc.post(EventRecovery, time.Now())
 	waitState(t, lc, Protected)
 
-	// A chain break in Protected forces a rebase and records a self-loop.
-	lc.post(EventChainBreak, time.Now())
-	deadline := time.Now().Add(2 * time.Second)
-	for lc.ChainBreaks() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if lc.ChainBreaks() != 1 {
-		t.Fatalf("chain breaks %d, want 1", lc.ChainBreaks())
-	}
-
 	f, r, pr := pol.counts()
 	if f != 1 || r != 1 || pr != 0 {
 		t.Fatalf("policy calls failover=%d restore=%d promote=%d", f, r, pr)
 	}
 
 	trs := lc.Transitions()
-	if len(trs) != 3 {
+	if len(trs) != 2 {
 		t.Fatalf("transition log has %d entries: %v", len(trs), trs)
 	}
 	checks := []struct {
@@ -285,7 +268,6 @@ func TestLifecycleEventLoopRecordsTransitions(t *testing.T) {
 	}{
 		{EventMiss, Protected, SwitchedOver, stateNone},
 		{EventRecovery, SwitchedOver, Protected, RollingBack},
-		{EventChainBreak, Protected, Protected, stateNone},
 	}
 	for i, c := range checks {
 		tr := trs[i]
@@ -298,7 +280,7 @@ func TestLifecycleEventLoopRecordsTransitions(t *testing.T) {
 	if st.Mode != "fake" || st.State != "protected" || st.Active {
 		t.Fatalf("stats %+v", st)
 	}
-	if st.ChainBreaks != 1 || len(st.Transitions) != 3 {
+	if len(st.Transitions) != 2 {
 		t.Fatalf("stats counters %+v", st)
 	}
 }
@@ -391,7 +373,7 @@ func TestLifecyclePassiveOptionsDefaults(t *testing.T) {
 	if o.MissThreshold != 3 {
 		t.Fatalf("conventional PS threshold %d, want 3", o.MissThreshold)
 	}
-	if o.HeartbeatInterval <= 0 || o.CheckpointInterval <= 0 || o.DeployCost <= 0 {
+	if o.HeartbeatInterval <= 0 || o.CheckpointInterval <= 0 {
 		t.Fatal("defaults missing")
 	}
 	keep := PassiveOptions{MissThreshold: 1}.withDefaults()

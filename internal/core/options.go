@@ -45,6 +45,24 @@ type Wiring struct {
 	Part int
 }
 
+// Fixed tuning of the standby policies at the experiments' one-tenth
+// timescale: the modeled CPU costs of bringing a copy into service, and
+// the detector's recovery threshold.
+const (
+	// resumeCost is the work to resume the pre-deployed copy (the paper
+	// measures resume at about a quarter of a full redeployment).
+	resumeCost = 5 * time.Millisecond
+	// deployCost is the work to deploy a copy on demand: passive
+	// standby's recovery copy, or the hybrid's standby under NoPreDeploy
+	// (standing in for the paper's ~200 ms redeployment).
+	deployCost = 20 * time.Millisecond
+	// connectCost is the work per connection established on demand.
+	connectCost = 2 * time.Millisecond
+	// recoverThreshold is how many replies after a failure declare the
+	// primary responsive again.
+	recoverThreshold = 1
+)
+
 // Options tunes the hybrid method. The zero value selects the paper's full
 // design at the experiments' one-tenth timescale.
 type Options struct {
@@ -54,39 +72,12 @@ type Options struct {
 	// MissThreshold triggers switchover; the hybrid method acts on the
 	// first miss (default 1).
 	MissThreshold int
-	// RecoverThreshold is how many replies after a failure declare the
-	// primary responsive again (default 1).
-	RecoverThreshold int
 	// CheckpointInterval drives the primary's sweeping checkpoint manager
-	// (default 10 ms, standing in for the paper's 50 ms).
+	// and paces the standby's acknowledgments while active (default 10 ms,
+	// standing in for the paper's 50 ms).
 	CheckpointInterval time.Duration
 	// CheckpointCosts models checkpoint CPU cost.
 	CheckpointCosts checkpoint.Costs
-	// CheckpointRebaseEvery enables incremental checkpointing when ≥ 2: up
-	// to RebaseEvery-1 delta checkpoints ship between full snapshots. 0
-	// keeps the classic full-snapshot-every-sweep protocol.
-	CheckpointRebaseEvery int
-	// CheckpointRebaseAdaptive enables the byte-budget rebase policy:
-	// deltas ship until their cumulative size exceeds the last full
-	// snapshot, then the manager rebases. CheckpointRebaseEvery remains a
-	// manual cadence cap when both are set.
-	CheckpointRebaseAdaptive bool
-	// CheckpointMaxInFlight bounds captured-but-unshipped checkpoints
-	// (default 2; see checkpoint.Config).
-	CheckpointMaxInFlight int
-	// AckInterval is the standby's acknowledgment period while active
-	// (default: CheckpointInterval).
-	AckInterval time.Duration
-	// ResumeCost is the CPU work to resume the pre-deployed copy (the
-	// paper measures resume at about a quarter of a full redeployment).
-	ResumeCost time.Duration
-	// DeployCost is the CPU work to deploy a copy on demand; paid at
-	// switchover only under NoPreDeploy (default 20 ms, standing in for
-	// the paper's ~200 ms redeployment).
-	DeployCost time.Duration
-	// ConnectCost is the CPU work per connection established on demand;
-	// paid at switchover only under NoEarlyConnection.
-	ConnectCost time.Duration
 	// FailStopAfter promotes the standby to primary if the failure
 	// persists this long after switchover; zero disables promotion.
 	FailStopAfter time.Duration
@@ -107,11 +98,6 @@ type Options struct {
 	// refreshing memory (only meaningful with NoPreDeploy or for ablation
 	// of the in-memory refresh; adds write latency to every checkpoint).
 	DiskStore bool
-	// Catalog, when non-nil, makes the standby durable: every checkpoint
-	// the standby (or its NoPreDeploy store) accepts is persisted through
-	// the catalog before it is acknowledged, leaving a sequence-chained
-	// history a cold restart can restore from.
-	Catalog *checkpoint.Catalog
 }
 
 func (o Options) withDefaults() Options {
@@ -121,23 +107,8 @@ func (o Options) withDefaults() Options {
 	if o.MissThreshold <= 0 {
 		o.MissThreshold = 1
 	}
-	if o.RecoverThreshold <= 0 {
-		o.RecoverThreshold = 1
-	}
 	if o.CheckpointInterval <= 0 {
 		o.CheckpointInterval = 10 * time.Millisecond
-	}
-	if o.AckInterval <= 0 {
-		o.AckInterval = o.CheckpointInterval
-	}
-	if o.ResumeCost <= 0 {
-		o.ResumeCost = 5 * time.Millisecond
-	}
-	if o.DeployCost <= 0 {
-		o.DeployCost = 20 * time.Millisecond
-	}
-	if o.ConnectCost <= 0 {
-		o.ConnectCost = 2 * time.Millisecond
 	}
 	return o
 }
@@ -161,7 +132,8 @@ type ErrorBudget struct {
 // the approx policy must behave exactly like hybrid.
 func (b ErrorBudget) Zero() bool { return b.MaxLostElements <= 0 && b.MaxStaleness <= 0 }
 
-// PassiveOptions tunes conventional passive standby.
+// PassiveOptions tunes conventional passive standby. Checkpoints are
+// stored in memory on the secondary machine.
 type PassiveOptions struct {
 	// HeartbeatInterval is the detector's ping period (default 20 ms).
 	HeartbeatInterval time.Duration
@@ -173,24 +145,6 @@ type PassiveOptions struct {
 	CheckpointInterval time.Duration
 	// CheckpointCosts models checkpoint CPU cost.
 	CheckpointCosts checkpoint.Costs
-	// CheckpointRebaseEvery enables incremental checkpointing when ≥ 2 (see
-	// checkpoint.Config.RebaseEvery); 0 ships a full snapshot every sweep.
-	CheckpointRebaseEvery int
-	// CheckpointRebaseAdaptive enables the byte-budget rebase policy (see
-	// Options.CheckpointRebaseAdaptive).
-	CheckpointRebaseAdaptive bool
-	// DeployCost is the CPU work of deploying the recovery copy on demand
-	// (default 20 ms, standing in for the paper's ~200 ms redeployment).
-	DeployCost time.Duration
-	// ConnectCost is the CPU work per connection established during
-	// recovery (default 2 ms).
-	ConnectCost time.Duration
-	// StoreBackend selects the checkpoint store; conventional passive
-	// standby persists to (simulated) disk.
-	StoreBackend checkpoint.StoreBackend
-	// Catalog, when non-nil, persists every stored checkpoint durably
-	// before it is acknowledged (see Options.Catalog).
-	Catalog *checkpoint.Catalog
 }
 
 func (o PassiveOptions) withDefaults() PassiveOptions {
@@ -202,12 +156,6 @@ func (o PassiveOptions) withDefaults() PassiveOptions {
 	}
 	if o.CheckpointInterval <= 0 {
 		o.CheckpointInterval = 10 * time.Millisecond
-	}
-	if o.DeployCost <= 0 {
-		o.DeployCost = 20 * time.Millisecond
-	}
-	if o.ConnectCost <= 0 {
-		o.ConnectCost = 2 * time.Millisecond
 	}
 	return o
 }

@@ -46,11 +46,11 @@ type DivergenceReporter interface {
 // ApproxPolicy is the bounded-error variant of the hybrid method: the
 // sweeping checkpoint manager ships unchained partial frames carrying only
 // the hot (recently written) byte ranges, and failover promotes the
-// standby immediately from its last partial instead of draining the full
-// delta chain — skipping the upstream replay entirely whenever the
-// estimated loss fits the ErrorBudget. The divergence actually admitted
-// (lost in-flight elements, stale cold-slot bytes) is measured and
-// reported; a zero budget degenerates to exact hybrid behavior.
+// standby immediately from its last partial — skipping the upstream
+// replay entirely whenever the estimated loss fits the ErrorBudget. The
+// divergence actually admitted (lost in-flight elements, stale cold-slot
+// bytes) is measured and reported; a zero budget degenerates to exact
+// hybrid behavior.
 type ApproxPolicy struct {
 	hy     *HybridPolicy
 	budget ErrorBudget
@@ -180,7 +180,7 @@ func (ap *ApproxPolicy) Failover(lc *Lifecycle, detectedAt time.Time) State {
 		within = false
 	}
 
-	secM.CPU().Execute(ap.hy.opts.ResumeCost)
+	secM.CPU().Execute(resumeCost)
 	sec.Resume()
 
 	lost := 0

@@ -83,11 +83,11 @@ func (hp *HybridPolicy) arm(lc *Lifecycle, partial bool) error {
 		}
 		// Pre-deployment pays the deployment cost up front, off the
 		// critical path.
-		secM.CPU().Execute(hp.opts.DeployCost)
-		acker := checkpoint.NewAcker(sec, lc.clk, hp.opts.AckInterval)
+		secM.CPU().Execute(deployCost)
+		acker := checkpoint.NewAcker(sec, lc.clk, hp.opts.CheckpointInterval)
 		lc.mu.Lock()
 		lc.secondary = sec
-		lc.standby = NewStandbyStoreWith(sec, hp.opts.Catalog)
+		lc.standby = NewStandbyStore(sec)
 		lc.ackers = append(lc.ackers, acker)
 		lc.mu.Unlock()
 		acker.Start()
@@ -97,34 +97,26 @@ func (hp *HybridPolicy) arm(lc *Lifecycle, partial bool) error {
 			backend = checkpoint.SimulatedDisk
 		}
 		lc.mu.Lock()
-		lc.store = checkpoint.NewStoreWith(secM, spec.ID, checkpoint.StoreOptions{
-			Backend: backend,
-			Catalog: hp.opts.Catalog,
-		})
+		lc.store = checkpoint.NewStore(secM, spec.ID, backend, 0)
 		lc.mu.Unlock()
 	}
 
 	cm := checkpoint.NewSweeping(checkpoint.Config{
-		Runtime:        lc.PrimaryRuntime(),
-		Clock:          lc.clk,
-		Interval:       hp.opts.CheckpointInterval,
-		StoreNode:      secM.ID(),
-		Costs:          hp.opts.CheckpointCosts,
-		RebaseEvery:    hp.opts.CheckpointRebaseEvery,
-		RebaseAdaptive: hp.opts.CheckpointRebaseAdaptive,
-		MaxInFlight:    hp.opts.CheckpointMaxInFlight,
-		Partial:        partial,
-		SeqBase:        lc.seqBase(),
+		Runtime:   lc.PrimaryRuntime(),
+		Clock:     lc.clk,
+		Interval:  hp.opts.CheckpointInterval,
+		StoreNode: secM.ID(),
+		Costs:     hp.opts.CheckpointCosts,
+		Partial:   partial,
 	})
 	lc.mu.Lock()
 	lc.cm = cm
 	lc.mu.Unlock()
 	cm.Start()
-	lc.watchChainBreaks()
 
 	lc.registerReadStateAck(lc.PrimaryRuntime().Machine())
 	lc.startDetector(secM, lc.PrimaryRuntime().Machine().ID(), spec.ID,
-		hp.opts.HeartbeatInterval, hp.opts.MissThreshold, hp.opts.RecoverThreshold)
+		hp.opts.HeartbeatInterval, hp.opts.MissThreshold)
 	return nil
 }
 
@@ -140,7 +132,7 @@ func (hp *HybridPolicy) Failover(lc *Lifecycle, detectedAt time.Time) State {
 	if hp.opts.NoPreDeploy {
 		// Ablation: deploy the standby from the stored checkpoint on demand,
 		// paying the full deployment cost on the critical path.
-		secM.CPU().Execute(hp.opts.DeployCost)
+		secM.CPU().Execute(deployCost)
 		rt, err := subjob.New(lc.cfg.Spec, secM, true)
 		if err != nil {
 			return Protected
@@ -160,14 +152,14 @@ func (hp *HybridPolicy) Failover(lc *Lifecycle, detectedAt time.Time) State {
 
 	// Resuming the suspended copy is just resetting the processing-loop
 	// flags, about a quarter of a deployment.
-	secM.CPU().Execute(hp.opts.ResumeCost)
+	secM.CPU().Execute(resumeCost)
 	sec.Resume()
 
 	ups := lc.cfg.Wiring.UpstreamOutputs()
 	if hp.opts.NoEarlyConnection || hp.opts.NoPreDeploy {
 		// Ablation: establish connections now, paying per-connection cost.
 		downs := lc.cfg.Wiring.DownstreamTargets()
-		secM.CPU().Execute(hp.opts.ConnectCost * time.Duration(len(ups)+len(downs)))
+		secM.CPU().Execute(connectCost * time.Duration(len(ups)+len(downs)))
 		part := lc.upPart()
 		for _, up := range ups {
 			up.SubscribePart(sec.Node(), subjob.DataStream(sec.Spec().ID, up.StreamID), false, part)
@@ -345,7 +337,7 @@ func (hp *HybridPolicy) promote(lc *Lifecycle, partial bool) State {
 	if err := seedStandby(sec, newSec); err != nil {
 		return Unprotected
 	}
-	spare.CPU().Execute(hp.opts.DeployCost)
+	spare.CPU().Execute(deployCost)
 	newSec.Start()
 	lc.connectStandby(newSec)
 
@@ -358,36 +350,31 @@ func (hp *HybridPolicy) promote(lc *Lifecycle, partial bool) State {
 		standby.Retarget(newSec)
 	} else {
 		lc.mu.Lock()
-		lc.standby = NewStandbyStoreWith(newSec, hp.opts.Catalog)
+		lc.standby = NewStandbyStore(newSec)
 		lc.mu.Unlock()
 	}
 
 	newCM := checkpoint.NewSweeping(checkpoint.Config{
-		Runtime:        sec,
-		Clock:          lc.clk,
-		Interval:       hp.opts.CheckpointInterval,
-		StoreNode:      spare.ID(),
-		Costs:          hp.opts.CheckpointCosts,
-		RebaseEvery:    hp.opts.CheckpointRebaseEvery,
-		RebaseAdaptive: hp.opts.CheckpointRebaseAdaptive,
-		MaxInFlight:    hp.opts.CheckpointMaxInFlight,
-		Partial:        partial,
-		SeqBase:        lc.seqBase(),
+		Runtime:   sec,
+		Clock:     lc.clk,
+		Interval:  hp.opts.CheckpointInterval,
+		StoreNode: spare.ID(),
+		Costs:     hp.opts.CheckpointCosts,
+		Partial:   partial,
 	})
-	newAcker := checkpoint.NewAcker(newSec, lc.clk, hp.opts.AckInterval)
+	newAcker := checkpoint.NewAcker(newSec, lc.clk, hp.opts.CheckpointInterval)
 	lc.mu.Lock()
 	lc.cm = newCM
 	lc.ackers = []*checkpoint.Acker{newAcker}
 	lc.mu.Unlock()
 	newCM.Start()
 	newAcker.Start()
-	lc.watchChainBreaks()
 
 	// Re-armed: a new detector on the spare machine watches the promoted
 	// primary, so the subjob survives the next failure too.
 	lc.registerReadStateAck(sec.Machine())
 	lc.startDetector(spare, sec.Machine().ID(), lc.cfg.Spec.ID,
-		hp.opts.HeartbeatInterval, hp.opts.MissThreshold, hp.opts.RecoverThreshold)
+		hp.opts.HeartbeatInterval, hp.opts.MissThreshold)
 	if placed {
 		lc.recordRearm(RearmEvent{At: lc.clk.Now(), Host: string(spare.ID())})
 	}

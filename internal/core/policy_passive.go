@@ -57,29 +57,22 @@ func (pp *PassivePolicy) arm(lc *Lifecycle) {
 	active, standbyM := lc.primary, lc.secondaryM
 	lc.mu.Unlock()
 
-	store := checkpoint.NewStoreWith(standbyM, lc.cfg.Spec.ID, checkpoint.StoreOptions{
-		Backend: pp.opts.StoreBackend,
-		Catalog: pp.opts.Catalog,
-	})
+	store := checkpoint.NewStore(standbyM, lc.cfg.Spec.ID, checkpoint.InMemory, 0)
 	cm := checkpoint.NewSweeping(checkpoint.Config{
-		Runtime:        active,
-		Clock:          lc.clk,
-		Interval:       pp.opts.CheckpointInterval,
-		StoreNode:      standbyM.ID(),
-		Costs:          pp.opts.CheckpointCosts,
-		RebaseEvery:    pp.opts.CheckpointRebaseEvery,
-		RebaseAdaptive: pp.opts.CheckpointRebaseAdaptive,
-		SeqBase:        lc.seqBase(),
+		Runtime:   active,
+		Clock:     lc.clk,
+		Interval:  pp.opts.CheckpointInterval,
+		StoreNode: standbyM.ID(),
+		Costs:     pp.opts.CheckpointCosts,
 	})
 	lc.mu.Lock()
 	lc.store = store
 	lc.cm = cm
 	lc.mu.Unlock()
 	cm.Start()
-	lc.watchChainBreaks()
 	lc.startDetector(standbyM, active.Machine().ID(),
 		lc.cfg.Spec.ID+"/"+string(standbyM.ID()),
-		pp.opts.HeartbeatInterval, pp.opts.MissThreshold, 1)
+		pp.opts.HeartbeatInterval, pp.opts.MissThreshold)
 }
 
 // Failover implements StandbyPolicy: the passive-standby migration.
@@ -115,7 +108,7 @@ func (pp *PassivePolicy) Failover(lc *Lifecycle, detectedAt time.Time) State {
 	lc.transient(Migrating)
 
 	// Job redeployment: the dominant non-detection cost of PS recovery.
-	target.CPU().Execute(pp.opts.DeployCost)
+	target.CPU().Execute(deployCost)
 	rt, err := subjob.New(lc.cfg.Spec, target, false)
 	if err != nil {
 		return Unprotected
@@ -133,7 +126,7 @@ func (pp *PassivePolicy) Failover(lc *Lifecycle, detectedAt time.Time) State {
 	// Connection establishment, on the critical path for PS.
 	ups := lc.cfg.Wiring.UpstreamOutputs()
 	downs := lc.cfg.Wiring.DownstreamTargets()
-	target.CPU().Execute(pp.opts.ConnectCost * time.Duration(len(ups)+len(downs)))
+	target.CPU().Execute(connectCost * time.Duration(len(ups)+len(downs)))
 	for _, up := range ups {
 		// Rebinding the subscription retransmits everything unacknowledged,
 		// which the recovered copy reprocesses.

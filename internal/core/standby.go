@@ -15,7 +15,6 @@ import (
 	"sync"
 	"time"
 
-	"streamha/internal/checkpoint"
 	"streamha/internal/subjob"
 	"streamha/internal/transport"
 )
@@ -28,23 +27,16 @@ import (
 // state supersedes them, and trimming remains gated by the standby's own
 // acknowledgments.
 //
-// Incremental checkpoints fold into the standby the same way they fold
-// into a Store: a delta is applied only when it extends the sequence chain
-// of the state the standby currently holds, and a delta that does not is
-// dropped without acknowledgment so upstream keeps the data. Any break —
-// an active period, a retarget, a failed restore — invalidates the chain
-// until the next full snapshot re-bases it.
+// The standby takes full snapshots and, under the approx policy, partial
+// frames. An incremental (SHD2) delta is neither applied nor acknowledged:
+// the lifecycle's checkpoint managers never produce one, and a delta that
+// does arrive cannot be folded without a chain the standby does not keep.
 type StandbyStore struct {
-	mu      sync.Mutex
-	rt      *subjob.Runtime
-	catalog *checkpoint.Catalog
+	mu sync.Mutex
+	rt *subjob.Runtime
 
-	applied      int
-	skipped      int
-	deltaDrops   int
-	chain        uint64
-	chainOK      bool
-	onChainBreak func()
+	applied int
+	skipped int
 
 	// Bounded-error (approx) bookkeeping. Partial frames are unchained:
 	// partialSeq only dedups stale/duplicate frames, and lastRefresh is
@@ -69,25 +61,11 @@ type storeReq struct {
 // NewStandbyStore starts a store refreshing rt, which must be the
 // suspended standby copy of its subjob.
 func NewStandbyStore(rt *subjob.Runtime) *StandbyStore {
-	return NewStandbyStoreWith(rt, nil)
-}
-
-// NewStandbyStoreWith starts a store refreshing rt that also persists
-// checkpoints through catalog (when non-nil) before acknowledging them,
-// so the in-memory refresh leaves a durable trail a cold restart can
-// restore from. Full snapshots are persisted whenever they decode — even
-// ones skipped because the standby is active or ahead, since a full is a
-// valid restore base regardless of the standby's live state. Deltas are
-// persisted only when applied: an applied delta extends the in-memory
-// chain, whose predecessor was persisted by the same rule, so the
-// cataloged chain always mirrors the in-memory one.
-func NewStandbyStoreWith(rt *subjob.Runtime, catalog *checkpoint.Catalog) *StandbyStore {
 	s := &StandbyStore{
-		rt:      rt,
-		catalog: catalog,
-		work:    make(chan storeReq, 128),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		rt:   rt,
+		work: make(chan storeReq, 128),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	rt.Machine().RegisterStream(subjob.CkptStream(rt.Spec().ID), func(from transport.NodeID, msg transport.Message) {
 		select {
@@ -105,7 +83,6 @@ func (s *StandbyStore) Retarget(rt *subjob.Runtime) {
 	s.mu.Lock()
 	old := s.rt
 	s.rt = rt
-	s.chainOK = false
 	s.mu.Unlock()
 	if old.Machine() != rt.Machine() {
 		old.Machine().UnregisterStream(subjob.CkptStream(old.Spec().ID))
@@ -152,45 +129,18 @@ func (s *StandbyStore) apply(req storeReq) {
 		s.applyPartial(req)
 		return
 	}
-	snap, delta, err := subjob.DecodeCheckpoint(req.msg.State)
+	snap, err := subjob.DecodeSnapshot(req.msg.State)
 	if err != nil {
 		return
 	}
 	rt := s.runtime()
 
-	s.mu.Lock()
-	chain, chainOK := s.chain, s.chainOK
-	s.mu.Unlock()
-	if delta != nil && (!chainOK || delta.PrevSeq != chain) {
-		// The delta does not extend the state the standby holds (chain broken
-		// by an active period or a lost checkpoint): dropping it without an
-		// acknowledgment keeps the data recoverable upstream until the
-		// manager re-bases with a full snapshot.
-		s.mu.Lock()
-		s.deltaDrops++
-		onChainBreak := s.onChainBreak
-		s.mu.Unlock()
-		if onChainBreak != nil {
-			onChainBreak()
-		}
-		return
-	}
-
-	var ckptPos map[string]uint64
-	if delta != nil {
-		ckptPos = delta.Consumed
-	} else {
-		ckptPos = snap.Consumed
-	}
-
 	applied := false
-	suspended := false
 	rt.Exclusive(func() {
-		suspended = rt.Suspended()
-		if !suspended {
+		if !rt.Suspended() {
 			return
 		}
-		if !positionsCover(ckptPos, rt.ConsumedPositions()) {
+		if !positionsCover(snap.Consumed, rt.ConsumedPositions()) {
 			// The checkpoint was captured before the standby's current state
 			// (a capture in flight across a rollback, which re-suspends the
 			// standby at its live — newer — positions). Applying it would
@@ -198,58 +148,26 @@ func (s *StandbyStore) apply(req storeReq) {
 			// input queue's dedup floor stays put, so the next activation
 			// would drop the replayed gap as duplicates and permanently
 			// shift the output sequence mapping. The standby's state covers
-			// everything the checkpoint does, so skip it (acknowledged: the
-			// skip leaves applied=false with suspended=true below).
+			// everything the checkpoint does, so skip it (acknowledged).
 			return
 		}
-		if delta != nil {
-			applied = rt.ApplyDelta(delta) == nil
-		} else {
-			applied = rt.Restore(snap) == nil
-		}
+		applied = rt.Restore(snap) == nil
 	})
 	s.mu.Lock()
 	if applied {
 		s.applied++
-		s.chain = req.msg.Seq
-		s.chainOK = true
 		s.lastRefresh = rt.Machine().Clock().Now()
 	} else {
+		// A live standby's state supersedes checkpoints and a stale one is
+		// behind it; either way the snapshot is acknowledged unapplied.
 		s.skipped++
-		// A live standby's state supersedes checkpoints, a stale checkpoint
-		// is behind it, and a failed apply leaves it indeterminate; in every
-		// case the chain must restart from the next full snapshot.
-		s.chainOK = false
 	}
-	ack := applied || suspended || delta == nil
 	s.mu.Unlock()
-	if !ack {
-		return
-	}
-	// Persist-before-ack. Fulls are cataloged whenever they decode (any
-	// full is a valid cold-restart base); deltas only when applied, which
-	// guarantees their cataloged predecessor exists. A failed persist
-	// withholds the acknowledgment — upstream must keep the data the
-	// catalog cannot recover — and invalidates the chain so the manager
-	// re-bases with a full snapshot.
-	if s.catalog != nil && (delta == nil || applied) {
-		units := 0
-		if delta != nil {
-			units = delta.ElementUnits()
-		} else {
-			units = snap.ElementUnits()
-		}
-		if err := s.catalog.Put(rt.Spec().ID, req.msg.Seq, units, req.msg.State); err != nil {
-			s.mu.Lock()
-			s.chainOK = false
-			onChainBreak := s.onChainBreak
-			s.mu.Unlock()
-			if onChainBreak != nil {
-				onChainBreak()
-			}
-			return
-		}
-	}
+	s.ack(rt, req)
+}
+
+// ack confirms storage of req's checkpoint to the manager that shipped it.
+func (s *StandbyStore) ack(rt *subjob.Runtime, req storeReq) {
 	rt.Machine().Send(req.from, transport.Message{
 		Kind:    transport.KindControl,
 		Stream:  subjob.CkptAckStream(rt.Spec().ID),
@@ -264,9 +182,7 @@ func (s *StandbyStore) apply(req storeReq) {
 // simply skipped: the cold remainder stays stale, which is exactly the
 // divergence the approx policy's error budget accounts for. Every frame
 // that decodes is acknowledged, letting upstream trim on the partial
-// cadence (the source of approx's retention savings), and none are
-// persisted to the catalog: a cold restart restores from the last full
-// snapshot, approximate by design.
+// cadence (the source of approx's retention savings).
 func (s *StandbyStore) applyPartial(req storeReq) {
 	part, err := subjob.DecodePartial(req.msg.State)
 	if err != nil {
@@ -297,20 +213,11 @@ func (s *StandbyStore) applyPartial(req storeReq) {
 		s.partialSeq = req.msg.Seq
 		s.lastRefresh = rt.Machine().Clock().Now()
 		s.coldBytes = part.ColdBytes
-		// A partial mutates state out of band of the delta chain: any delta
-		// captured against the pre-partial base no longer folds cleanly.
-		s.chainOK = false
 	} else {
 		s.partialSkipped++
 	}
 	s.mu.Unlock()
-
-	rt.Machine().Send(req.from, transport.Message{
-		Kind:    transport.KindControl,
-		Stream:  subjob.CkptAckStream(rt.Spec().ID),
-		Command: "ckpt-stored",
-		Seq:     req.msg.Seq,
-	})
+	s.ack(rt, req)
 }
 
 // PartialStats returns how many unchained partial frames refreshed the
@@ -322,21 +229,12 @@ func (s *StandbyStore) PartialStats() (applied, skipped int, coldBytes uint64) {
 	return s.partialApplied, s.partialSkipped, s.coldBytes
 }
 
-// LastRefresh returns when a checkpoint (full, delta or partial) last
+// LastRefresh returns when a checkpoint (full or partial) last
 // refreshed the standby's in-memory state; the zero time if none has.
 func (s *StandbyStore) LastRefresh() time.Time {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.lastRefresh
-}
-
-// SetOnChainBreak installs a callback invoked (from the store goroutine)
-// whenever a delta is dropped because it did not extend the standby's
-// chain; the lifecycle uses it to force an immediate rebase.
-func (s *StandbyStore) SetOnChainBreak(fn func()) {
-	s.mu.Lock()
-	s.onChainBreak = fn
-	s.mu.Unlock()
 }
 
 // Applied returns how many checkpoints refreshed the standby in memory.
@@ -352,23 +250,6 @@ func (s *StandbyStore) Skipped() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.skipped
-}
-
-// DeltaDrops returns how many delta checkpoints were dropped,
-// unacknowledged, because they did not extend the standby's state chain.
-func (s *StandbyStore) DeltaDrops() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.deltaDrops
-}
-
-// Persisted returns how many checkpoints this store made durable through
-// its catalog (always 0 without one).
-func (s *StandbyStore) Persisted() int {
-	if s.catalog == nil {
-		return 0
-	}
-	return s.catalog.Counters(s.runtime().Spec().ID).Persisted
 }
 
 // Close stops the store. The handler is unregistered before stop closes

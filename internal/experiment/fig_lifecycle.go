@@ -37,11 +37,15 @@ func RunLifecycle(p Params) (*LifecycleResult, error) {
 	p = p.withDefaults()
 	res := &LifecycleResult{}
 	for _, name := range ha.Modes() {
-		mode, err := ha.ParseMode(name)
+		if name == ha.ModeApprox.String() {
+			// approx is only spelled with its error budget.
+			name = fmt.Sprintf("%s:%d", name, approxBudget.MaxLostElements)
+		}
+		mode, budget, err := ha.ParseModeBudget(name)
 		if err != nil {
 			return nil, err
 		}
-		row, err := runOneLifecycle(p, mode)
+		row, err := runOneLifecycle(p, mode, budget)
 		if err != nil {
 			return nil, err
 		}
@@ -50,7 +54,7 @@ func RunLifecycle(p Params) (*LifecycleResult, error) {
 	return res, nil
 }
 
-func runOneLifecycle(p Params, mode ha.Mode) (LifecycleRow, error) {
+func runOneLifecycle(p Params, mode ha.Mode, budget core.ErrorBudget) (LifecycleRow, error) {
 	cl := cluster.New(cluster.Config{Latency: p.Latency})
 	for _, id := range []string{"m-src", "m-sink", "p1", "s1", "spare"} {
 		cl.MustAddMachine(id)
@@ -78,6 +82,7 @@ func runOneLifecycle(p Params, mode ha.Mode) (LifecycleRow, error) {
 			HeartbeatInterval:  p.HeartbeatInterval,
 			CheckpointInterval: p.CheckpointInterval,
 		},
+		Approx: budget,
 	})
 	if err != nil {
 		return LifecycleRow{}, err
@@ -122,7 +127,7 @@ func (r *LifecycleResult) Table() Table {
 		Title: "Lifecycle: control-plane transition logs per standby policy",
 		Note: "script: transient stall then fail-stop crash; " +
 			"hybrid switches over + rolls back + promotes, passive migrates, active/none record nothing",
-		Header: []string{"mode", "state", "switch", "rollback", "migrate", "promote", "chainbreak", "transition log"},
+		Header: []string{"mode", "state", "switch", "rollback", "migrate", "promote", "transition log"},
 	}
 	for _, row := range r.Rows {
 		s := row.Stats
@@ -133,11 +138,10 @@ func (r *LifecycleResult) Table() Table {
 		t.Rows = append(t.Rows, []string{
 			row.Mode.String(), s.State,
 			fmt.Sprint(s.Switchovers), fmt.Sprint(s.Rollbacks),
-			fmt.Sprint(s.Migrations), fmt.Sprint(s.Promotions),
-			fmt.Sprint(s.ChainBreaks), logCol,
+			fmt.Sprint(s.Migrations), fmt.Sprint(s.Promotions), logCol,
 		})
 		for _, tr := range row.Transitions[min(1, len(row.Transitions)):] {
-			t.Rows = append(t.Rows, []string{"", "", "", "", "", "", "", tr})
+			t.Rows = append(t.Rows, []string{"", "", "", "", "", "", tr})
 		}
 	}
 	return t

@@ -2,6 +2,8 @@ package failure
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -46,6 +48,51 @@ func TestParseScriptErrors(t *testing.T) {
 			t.Errorf("ParseScript(%q): want error, got nil", bad)
 		}
 	}
+}
+
+// formatScript renders s in ParseScript's one-event-per-line format.
+func formatScript(s Script) string {
+	var b strings.Builder
+	for _, ev := range s.Events {
+		fmt.Fprintf(&b, "%s %s %s\n", ev.At, ev.Action, ev.Machine)
+	}
+	return b.String()
+}
+
+// FuzzParseScript: ParseScript never panics, and every script it accepts
+// reaches a fixed point under parse → format → parse. Byte identity with
+// the input is not required: comments, blank lines, spacing and offset
+// spellings ("1000ms" vs "1s") are normalized away.
+func FuzzParseScript(f *testing.F) {
+	for _, seed := range []string{
+		"",
+		"# only a comment\n",
+		"500ms crash   w3\n\n0ms crash w1\n2s recover w1\n",
+		"1h2m3.5s recover rack-a/w9\r\n-1ns crash w0",
+		"0ms crash",
+		"soon crash w1",
+		"1s explode w1",
+		"1s crash w1 extra arg",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		s, err := ParseScript(text)
+		if err != nil {
+			return
+		}
+		out := formatScript(s)
+		s2, err := ParseScript(out)
+		if err != nil {
+			t.Fatalf("formatted script does not parse: %v\n%s", err, out)
+		}
+		if !reflect.DeepEqual(s, s2) {
+			t.Fatalf("parse → format → parse changed the script:\n first %+v\nsecond %+v", s, s2)
+		}
+		if again := formatScript(s2); again != out {
+			t.Fatalf("no fixed point:\n first %q\nsecond %q", out, again)
+		}
+	})
 }
 
 // scriptRecorder records applied events, failing recovers for machines
